@@ -10,10 +10,11 @@
 #include <sstream>
 #include <utility>
 
-#include "engine/serve.hpp"
+#include "engine/serve/event_loop.hpp"
 #include "io/format.hpp"
 #include "io/jsonl.hpp"
 #include "sched/instance_hash.hpp"
+#include "util/fnv.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
 
@@ -30,27 +31,6 @@ constexpr std::chrono::milliseconds kPassBackoff(50);
 // Health probes are cheap and local; they get a short fixed budget rather
 // than the request-path attempt timeout.
 constexpr int kProbeBudgetMs = 1000;
-
-// Same trimming as the serve session loop: the caller of parse_frame strips
-// blank/comment lines itself.
-std::string trimmed(const std::string& line) {
-  const auto start = line.find_first_not_of(" \t\r\v\f");
-  if (start == std::string::npos) return "";
-  const auto end = line.find_last_not_of(" \t\r\v\f");
-  return line.substr(start, end - start + 1);
-}
-
-// FNV-1a over the raw source string — the routing key of last resort for
-// requests whose instance cannot be parsed (the backend owns producing the
-// canonical error; the router only needs *a* deterministic placement).
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ull;
-  for (const unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ull;
-  }
-  return h;
-}
 
 bool key_from_parsed(const ParsedInstance& parsed, std::uint64_t* key) {
   if (!parsed.ok()) return false;
@@ -100,13 +80,15 @@ void splice_auto_id(std::string* line, std::int64_t seq) {
 }
 
 // A locally built error response — the only lines a client ever receives
-// that no backend produced (unroutable requests, degraded mode).
-std::string local_error(const SolveRequest& req, std::int64_t seq,
+// that no backend produced (rejected frames, unroutable requests, degraded
+// mode). `file` is the request's path; serve answers a rejected frame
+// without one, and so does the router.
+std::string local_error(const std::string& id, std::int64_t seq, const std::string& file,
                         std::string error) {
   SolveResponse response;
-  response.id = req.id.empty() ? "#" + std::to_string(seq) : req.id;
+  response.id = id.empty() ? "#" + std::to_string(seq) : id;
   response.seq = seq;
-  response.file = req.path;
+  response.file = file;
   response.ok = false;
   response.error = std::move(error);
   return encode_response_json(response);
@@ -122,17 +104,9 @@ std::string self_exe_path() {
 
 }  // namespace
 
-// Per-client session state, mirroring the serve Server's: the response
-// stream lock plus this session's share of the in-flight count so EOF/quit
-// drains one client without waiting on the others'.
-struct Router::SessionState {
-  std::mutex out_mu;
-  std::size_t inflight = 0;
-};
-
 Router::Router(const RouterOptions& options, std::string* error)
     : options_(options) {
-  // The router writes into backend sockets and client transports from many
+  // The router writes into backend sockets and client sockets from many
   // threads; any peer dying mid-write must cost one attempt, not the process.
   ::signal(SIGPIPE, SIG_IGN);
   if (options_.fleet == 0) options_.fleet = 1;
@@ -304,7 +278,7 @@ std::string Router::route_one(const SolveRequest& req, std::int64_t seq) {
   if (req.parsed != nullptr) {
     if (!req.parsed->ok()) {
       requests_error_->inc();
-      return local_error(req, seq, "parse error: " + req.parsed->error);
+      return local_error(req.id, seq, req.path, "parse error: " + req.parsed->error);
     }
     key_from_parsed(*req.parsed, &key);
     std::ostringstream text;
@@ -316,6 +290,8 @@ std::string Router::route_one(const SolveRequest& req, std::int64_t seq) {
     wire.inline_text = text.str();
     wire.has_inline_text = true;
   } else if (req.has_inline_text) {
+    // Unparseable sources key by FNV-1a of the raw string: the backend owns
+    // the canonical error, the router only needs *a* deterministic placement.
     if (!key_from_text(req.inline_text, &key)) key = fnv1a(req.inline_text);
   } else if (!req.path.empty()) {
     bool keyed = false;
@@ -327,7 +303,7 @@ std::string Router::route_one(const SolveRequest& req, std::int64_t seq) {
     if (!keyed) key = fnv1a(req.path);
   } else {
     requests_error_->inc();
-    return local_error(req, seq, "no instance source in request");
+    return local_error(req.id, seq, req.path, "no instance source in request");
   }
   const std::string frame_line = encode_request_json(wire) + "\n";
 
@@ -384,7 +360,7 @@ std::string Router::route_one(const SolveRequest& req, std::int64_t seq) {
     degraded_->inc();
     requests_error_->inc();
     return local_error(
-        req, seq,
+        req.id, seq, req.path,
         "degraded: no backend answered within " +
             std::to_string(options_.deadline_ms) + "ms (" +
             std::to_string(attempts) + " attempts across " +
@@ -461,85 +437,36 @@ RouterStats Router::stats() const {
   return s;
 }
 
-void Router::session(Transport& transport) {
-  SessionState state;
-  std::istream& in = transport.in();
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string text = trimmed(line);
-    if (text.empty() || text[0] == '#') continue;
-    Frame frame = parse_frame(text, in);
-    if (frame.kind == Frame::Kind::kQuit) break;
-    if (frame.kind == Frame::Kind::kShutdown) {
-      shutdown_.store(true);
-      break;
-    }
-    // The router itself holds no token (it binds loopback/stdio; auth guards
-    // remote SERVE binds) — an `auth` frame is ignored exactly as a serve
-    // session without a configured token ignores one.
-    if (frame.bad.empty() && frame.kind == Frame::Kind::kAuth) continue;
+Dispatch Router::classify(Frame frame, SessionInfo&) {
+  // The router itself holds no token (it binds loopback/stdio; auth guards
+  // remote SERVE binds) — an `auth` frame is ignored exactly as a serve
+  // session without a configured token ignores one.
+  Dispatch dispatch;
+  if (frame.bad.empty() && frame.kind == Frame::Kind::kAuth) return dispatch;
 
-    const std::int64_t seq = seq_.fetch_add(1);
+  const std::int64_t seq = seq_.fetch_add(1);
 
-    // Introspection answers from the ROUTER — fleet shape and retry/failover
-    // counters, not any single backend's solve stats — inline, off the pool.
-    if (frame.bad.empty() && (frame.kind == Frame::Kind::kStats ||
-                              frame.kind == Frame::Kind::kMetrics)) {
-      const std::string frame_line =
-          frame.kind == Frame::Kind::kStats
-              ? stats_frame_json(frame.req.id, seq)
-              : metrics_frame_json(frame.req.id, seq);
-      std::lock_guard<std::mutex> out_lock(state.out_mu);
-      transport.out() << frame_line;
-      transport.out().flush();
-      continue;
-    }
-
-    // Solve (and malformed) frames fan across the pool under the global
-    // admission bound, same backpressure shape as a serve session.
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      cv_.wait(lock, [&] { return inflight_ < max_inflight_; });
-      ++inflight_;
-      ++state.inflight;
-    }
-    pool_->submit([this, &transport, &state, req = std::move(frame.req),
-                   bad = std::move(frame.bad), seq] {
-      std::string response_line;
-      if (!bad.empty()) {
-        requests_error_->inc();
-        response_line = local_error(req, seq, bad);
-      } else {
-        response_line = route_one(req, seq);
-      }
-      {
-        std::lock_guard<std::mutex> out_lock(state.out_mu);
-        transport.out() << response_line;
-        transport.out().flush();
-      }
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        --inflight_;
-        --state.inflight;
-      }
-      cv_.notify_all();
-    });
+  // Introspection answers from the ROUTER — fleet shape and retry/failover
+  // counters, not any single backend's solve stats — inline, off the pool.
+  if (frame.bad.empty() && frame.kind == Frame::Kind::kStats) {
+    dispatch.line = stats_frame_json(frame.req.id, seq);
+  } else if (frame.bad.empty() && frame.kind == Frame::Kind::kMetrics) {
+    dispatch.line = metrics_frame_json(frame.req.id, seq);
+  } else {
+    dispatch.work = [this, req = std::move(frame.req), bad = std::move(frame.bad), seq] {
+      if (bad.empty()) return route_one(req, seq);
+      requests_error_->inc();
+      return local_error(req.id, seq, "", bad);
+    };
   }
-
-  // Drain THIS session's in-flight work before the caller tears down the
-  // transport; other sessions keep running on the shared pool.
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return state.inflight == 0; });
-  }
+  return dispatch;
 }
 
 RouterStats route_stdio(const RouterOptions& options, std::istream& in,
                         std::ostream& out, std::string* error) {
   Router router(options, error);
   if (!router.ok()) return {};
-  IostreamTransport transport(in, out);
-  router.session(transport);
+  serve_stream(router, in, out);
   return router.stats();
 }
 
@@ -547,11 +474,8 @@ RouterStats route_listener(const RouterOptions& options, Listener& listener,
                            std::string* error) {
   Router router(options, error);
   if (!router.ok()) return {};
-  run_accept_loop(
-      listener, [&router](Transport& transport) { router.session(transport); },
-      [&router] { return router.shutdown_requested(); },
-      /*tick=*/std::function<void()>());
-  if (!listener.ok() && !router.shutdown_requested() && error != nullptr) {
+  EventLoop loop(router, listener);
+  if (!loop.run() && !router.shutdown_requested() && error != nullptr) {
     *error = "listener on '" + listener.endpoint() + "' failed";
   }
   return router.stats();

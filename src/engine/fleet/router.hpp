@@ -1,8 +1,10 @@
 // The fleet router: one front-end over N supervised backend serve processes.
 //
-// `bisched_cli route` speaks the exact serve frame grammar (engine/serve.hpp
-// — the two share parse_frame), so a client cannot tell a router from a
-// single server; what changes is what stands behind the socket:
+// `bisched_cli route` runs the same session engine as serve
+// (engine/serve/session.hpp — the frame machine, send-order responses,
+// pipelining and read parking), with the Router as its handler, so a client
+// cannot tell a router from a single server; what changes is what stands
+// behind the socket:
 //
 //   placement   every solve is keyed by the instance content hash and routed
 //               over a consistent-hash ring (hash_ring.hpp), so one
@@ -23,11 +25,12 @@
 //               health.hpp tracks who is answering (periodic `stats` probes
 //               + live request outcomes) and feeds the candidate ordering.
 //
-// Responses stream back on the client's transport with the router's own
-// `seq` (admission order across all router sessions) spliced in; an
+// Responses stream back to the client with the router's own `seq`
+// (admission order across all router sessions) spliced in; an
 // auto-assigned id is the router's `#<seq>`, never a backend's. `stats`
 // frames are answered by the ROUTER (role "router": backend/health/retry
-// counters), as is `metrics` (the fleet registry: bisched_fleet_* series).
+// counters), as is `metrics` (the fleet registry: bisched_fleet_* series);
+// both are inline and may overtake queued solves.
 //
 // The router holds no warm state of its own — restarting it loses nothing
 // but connections; the warmth lives in the backends' stores.
@@ -35,11 +38,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -48,12 +49,9 @@
 #include "engine/fleet/hash_ring.hpp"
 #include "engine/fleet/health.hpp"
 #include "engine/fleet/supervisor.hpp"
+#include "engine/serve/session.hpp"
 #include "engine/telemetry/metrics.hpp"
 #include "engine/transport.hpp"
-
-namespace bisched {
-class ThreadPool;
-}  // namespace bisched
 
 namespace bisched::engine::fleet {
 
@@ -63,7 +61,7 @@ struct RouterOptions {
   std::string store_dir;       // per-backend stores at <dir>/backend-<i>; "" = none
   std::vector<std::string> serve_args;  // forwarded to every backend's serve
 
-  unsigned threads = 0;          // router session workers; 0 = 2 * fleet
+  unsigned threads = 0;          // routing workers; 0 = 2 * fleet
   std::size_t max_inflight = 0;  // admission bound; 0 = 4 * threads
 
   int health_interval_ms = 250;  // stats-probe period
@@ -90,32 +88,34 @@ struct RouterStats {
   std::size_t down = 0;       // not running (respawning / broken / starting)
 };
 
-class Router {
+// The fleet handler of the session engine; hand it to serve_stream or an
+// EventLoop (route_stdio / route_listener do both).
+class Router final : public SessionHandler {
  public:
   // Spawns and supervises the fleet; ok() is false (with *error set) when
   // the backends failed to come up — destroy the router, nothing is leaked.
   Router(const RouterOptions& options, std::string* error);
-  ~Router();
+  ~Router() override;
   Router(const Router&) = delete;
   Router& operator=(const Router&) = delete;
 
   bool ok() const { return ok_; }
 
-  // One client session over the serve frame grammar; thread-safe, one
-  // transport per thread (run_accept_loop calls this).
-  void session(Transport& transport);
-
-  bool shutdown_requested() const { return shutdown_.load(); }
-
   RouterStats stats() const;
   std::string metrics_text() const;  // the fleet registry's exposition
 
-  // For benches/tests that kill a backend mid-run.
+  // For tests that kill a backend mid-run.
   Supervisor& supervisor() { return *supervisor_; }
 
- private:
-  struct SessionState;
+  // SessionHandler: auth frames are ignored (the router holds no token),
+  // stats/metrics answer inline from the router, everything else is routed
+  // (or rejected) on the pool.
+  Dispatch classify(Frame frame, SessionInfo& session) override;
+  ThreadPool& pool() override { return *pool_; }
+  std::size_t max_inflight() const override { return max_inflight_; }
+  SessionSeries& series() override { return series_; }
 
+ private:
   void maintenance_loop();
   void refresh_backend_gauges() const;
   // Routes one solve to the fleet and returns the finished response LINE
@@ -137,11 +137,7 @@ class Router {
   const std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
 
-  mutable std::mutex mu_;  // admission state
-  std::condition_variable cv_;
-  std::size_t inflight_ = 0;
   std::atomic<std::int64_t> seq_{0};
-  std::atomic<bool> shutdown_{false};
 
   std::thread maintenance_;
   std::atomic<bool> stop_maintenance_{false};
@@ -163,10 +159,14 @@ class Router {
   telemetry::Gauge* backends_unhealthy_ = nullptr;
   telemetry::Gauge* backends_down_ = nullptr;
   std::vector<telemetry::Histogram*> backend_latency_;
+  // The session engine's bisched_serve_* series, kept out of the fleet
+  // exposition.
+  telemetry::Registry session_registry_;
+  SessionSeries series_{session_registry_};
 };
 
 // The CLI entry points, mirroring serve/serve_listener: one session over
-// borrowed streams, or an accept loop until `shutdown`/SIGTERM. Both return
+// borrowed streams, or the event loop until `shutdown`/SIGTERM. Both return
 // the router's final stats; *error is set on startup/listener failure.
 RouterStats route_stdio(const RouterOptions& options, std::istream& in,
                         std::ostream& out, std::string* error);

@@ -4,6 +4,7 @@
 #include <unordered_map>
 
 #include "util/check.hpp"
+#include "util/fnv.hpp"
 
 namespace bisched::engine {
 
@@ -78,16 +79,12 @@ std::uint64_t GraphClassLattice::detect(const Graph& g) const {
 
 namespace {
 
-// FNV-1a over the vertex ids; exact equality still compares the vectors, so
-// a hash collision costs a comparison, never a wrong verdict.
+// FNV-1a over the vertex ids' bytes; exact equality still compares the
+// vectors, so a hash collision costs a comparison, never a wrong verdict.
 struct NeighborhoodHash {
   std::size_t operator()(const std::vector<int>& adj) const {
-    std::uint64_t h = 1469598103934665603ULL;
-    for (const int v : adj) {
-      h ^= static_cast<std::uint64_t>(static_cast<std::uint32_t>(v));
-      h *= 1099511628211ULL;
-    }
-    return static_cast<std::size_t>(h);
+    return static_cast<std::size_t>(fnv1a(std::string_view(
+        reinterpret_cast<const char*>(adj.data()), adj.size() * sizeof(int))));
   }
 };
 

@@ -1,15 +1,11 @@
 #include "engine/serve.hpp"
 
 #include <algorithm>
-#include <cctype>
-#include <chrono>
 #include <csignal>
 #include <iostream>
 #include <memory>
 #include <sstream>
-#include <thread>
 #include <utility>
-#include <vector>
 
 #include "engine/fault.hpp"
 #include "engine/serve/event_loop.hpp"
@@ -22,53 +18,12 @@ namespace bisched::engine {
 
 namespace {
 
-// How often a listener loop pushes the warm state's journal appends to the
-// OS: a crash costs at most this much recent warmth.
-constexpr std::chrono::seconds kStoreFlushInterval(5);
-
-// Strips every character istream extraction also treats as whitespace
-// (\v and \f included), so a whitespace-only line is always classified as a
-// blank frame here and can never reach split_words as an empty word list.
-std::string trimmed(const std::string& line) {
-  const auto start = line.find_first_not_of(" \t\r\v\f");
-  if (start == std::string::npos) return "";
-  const auto end = line.find_last_not_of(" \t\r\v\f");
-  return line.substr(start, end - start + 1);
-}
-
-// Splits "solve PATH [ID]" / "instance [ID]" style frames on whitespace.
-std::vector<std::string> split_words(const std::string& line) {
-  std::vector<std::string> words;
-  std::istringstream stream(line);
-  std::string word;
-  while (stream >> word) words.push_back(word);
-  return words;
-}
-
-// The auto-assigned id form `#<digits>`; client-supplied ids must not use it.
-bool is_reserved_id(const std::string& id) {
-  if (id.size() < 2 || id[0] != '#') return false;
-  return std::all_of(id.begin() + 1, id.end(), [](unsigned char c) {
-    return std::isdigit(c) != 0;
-  });
-}
-
 double hit_rate(std::uint64_t memory_hits, std::uint64_t disk_hits,
                 std::uint64_t misses) {
   const std::uint64_t total = memory_hits + disk_hits + misses;
   if (total == 0) return 0;
   return static_cast<double>(memory_hits + disk_hits) / static_cast<double>(total);
 }
-
-// SIGTERM = graceful drain for any accept loop in this process: stop
-// accepting, interrupt idle sessions, finish in-flight work, flush. The
-// supervisor stops fleet backends this way.
-std::atomic<bool> g_drain{false};
-void drain_handler(int) { g_drain.store(true); }
-
-}  // namespace
-
-namespace detail {
 
 // Constant-time token comparison: the loop shape depends only on the
 // lengths, never on where the strings first differ, so response timing
@@ -84,115 +39,14 @@ bool token_equal(const std::string& a, const std::string& b) {
   return diff == 0;
 }
 
-}  // namespace detail
-
-Frame classify_frame(const std::string& frame, bool* needs_body) {
-  Frame out;
-  *needs_body = false;
-  if (frame == "quit") {
-    out.kind = Frame::Kind::kQuit;
-    return out;
-  }
-  if (frame == "shutdown") {
-    out.kind = Frame::Kind::kShutdown;
-    return out;
-  }
-
-  if (frame[0] == '{') {
-    std::string error;
-    std::string salvaged_id;
-    if (auto decoded = decode_request_json(frame, &error, &salvaged_id)) {
-      out.req = std::move(*decoded);
-    } else {
-      out.bad = "bad request: " + error;
-      // Answer under the client's own id when the broken frame still
-      // yielded one — a client correlating strictly by its ids would
-      // otherwise never match the error to its request. (A salvaged id in
-      // the reserved form stays unused; the auto id applies.)
-      if (!is_reserved_id(salvaged_id)) out.req.id = std::move(salvaged_id);
-    }
-  } else {
-    const auto words = split_words(frame);
-    if (words[0] == "solve") {
-      if (words.size() == 2 || words.size() == 3) {
-        out.req.path = words[1];
-        if (words.size() == 3) out.req.id = words[2];
-      } else {
-        out.bad = "bad request: solve takes PATH [ID] (paths with spaces "
-                  "need the JSON form)";
-      }
-    } else if (words[0] == "instance") {
-      // The native text follows the header: the caller owns consuming the
-      // body (parse_frame reads it off the live stream below; the async
-      // core scans it incrementally from its read buffer). A header with a
-      // malformed id list still gets *needs_body — the body must be
-      // consumed either way, or its lines would be misread as frames.
-      if (words.size() == 2) out.req.id = words[1];
-      if (words.size() > 2) out.bad = "bad request: instance takes at most one id";
-      *needs_body = true;
-    } else if (words[0] == "stats") {
-      if (words.size() == 2) out.req.id = words[1];
-      if (words.size() > 2) out.bad = "bad request: stats takes at most one id";
-      out.kind = Frame::Kind::kStats;
-    } else if (words[0] == "metrics") {
-      if (words.size() == 2) out.req.id = words[1];
-      if (words.size() > 2) out.bad = "bad request: metrics takes at most one id";
-      out.kind = Frame::Kind::kMetrics;
-    } else if (words[0] == "auth") {
-      if (words.size() == 2) {
-        out.auth_token = words[1];
-      } else {
-        out.bad = "bad request: auth takes exactly one token";
-      }
-      out.kind = Frame::Kind::kAuth;
-    } else {
-      out.bad = "bad request: unrecognized frame '" + words[0] + "'";
-    }
-  }
-
-  // Client-supplied ids must stay out of the server's `#<seq>` namespace —
-  // a colliding correlation key is worse than an error response.
-  if (out.bad.empty() && is_reserved_id(out.req.id)) {
-    out.bad = "bad request: id '" + out.req.id +
-              "' uses the reserved #<digits> form (server-assigned ids)";
-    out.req.id.clear();
-  }
-  return out;
-}
-
-Frame parse_frame(const std::string& frame, std::istream& in) {
-  bool needs_body = false;
-  Frame out = classify_frame(frame, &needs_body);
-  if (needs_body) {
-    // The parser consumes exactly one well-formed instance; on a parse
-    // error it stops mid-stream, so the damage is contained by discarding
-    // input up to the next blank line (instance bodies contain none).
-    auto parsed = std::make_shared<ParsedInstance>(parse_instance(in));
-    if (!parsed->ok()) {
-      std::string skip;
-      while (std::getline(in, skip) && !trimmed(skip).empty()) {
-      }
-    }
-    if (out.bad.empty()) out.req.parsed = std::move(parsed);
-  }
-  return out;
-}
-
-// Per-client state: the response stream lock and this session's share of the
-// in-flight count (so `quit`/EOF drains one client without waiting on the
-// others').
-struct Server::SessionState {
-  std::mutex out_mu;
-  std::size_t inflight = 0;
-};
+}  // namespace
 
 Server::Server(const SolverRegistry& registry, const ServeOptions& options,
                WarmState* warm)
     : registry_(registry), options_(options), warm_(warm) {
   // A peer that disconnects mid-response must surface as a write error on
-  // that one session, never as SIGPIPE killing the process. Set here (not
-  // just in the listener loop) so stdio serve and in-process embedders get
-  // the same guarantee.
+  // that one session, never as SIGPIPE killing the process — on stdio, on
+  // sockets, and for in-process embedders too.
   ::signal(SIGPIPE, SIG_IGN);
   if (warm_ == nullptr) {
     owned_warm_ = std::make_unique<WarmState>();
@@ -227,22 +81,9 @@ Server::Server(const SolverRegistry& registry, const ServeOptions& options,
                                "reason=\"auth\"");
   rejects_quota_ = &reg.counter("bisched_serve_rejects_total", rejects_help,
                                 "reason=\"over-quota\"");
-  rejects_idle_ = &reg.counter("bisched_serve_rejects_total", rejects_help,
-                               "reason=\"idle-timeout\"");
-  sessions_total_ = &reg.counter("bisched_serve_sessions_total",
-                                 "Client sessions ever started");
-  sessions_active_ = &reg.gauge("bisched_serve_sessions_active",
-                                "Client sessions currently connected");
-  inflight_gauge_ = &reg.gauge("bisched_serve_inflight_requests",
-                               "Requests admitted but not yet answered");
-  open_sessions_ = &reg.gauge("bisched_serve_open_sessions",
-                              "Sessions registered on the async event loop");
-  parked_sessions_ = &reg.gauge("bisched_serve_parked_sessions",
-                                "Sessions with reads parked by backpressure");
-  pipeline_peak_ = &reg.gauge("bisched_serve_pipeline_depth_peak",
-                              "Deepest per-session solve pipeline observed");
-  loop_wakeups_ = &reg.counter("bisched_serve_loop_wakeups_total",
-                               "Event loop wakeups (epoll_wait returns)");
+  // The engine's series (sessions, in-flight, loop, idle reaps) sit between
+  // the rejects and the uptime gauge: exposition order is golden-pinned.
+  series_ = SessionSeries(reg);
   uptime_gauge_ = &reg.gauge("bisched_uptime_seconds",
                              "Seconds since this server was constructed");
 }
@@ -261,11 +102,7 @@ std::string Server::stats_frame_json(const std::string& id, std::int64_t seq,
   const std::uint64_t metrics_frames = frames_metrics_->value();
   const std::uint64_t auth_frames = frames_auth_->value();
   const std::uint64_t malformed = frames_malformed_->value();
-  std::size_t inflight = 0;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    inflight = inflight_;
-  }
+  const auto inflight = static_cast<std::uint64_t>(series_.inflight->value());
   const auto profile = warm_->profiles().stats();
   const auto result = warm_->results().stats();
   std::ostringstream out;
@@ -279,9 +116,9 @@ std::string Server::stats_frame_json(const std::string& id, std::int64_t seq,
       << ", \"auth_frames\": " << auth_frames
       << ", \"malformed\": " << malformed << ", \"ok\": " << responses_ok_->value()
       << ", \"errors\": " << responses_error_->value()
-      << ", \"sessions\": " << sessions_total_->value()
+      << ", \"sessions\": " << series_.sessions_total->value()
       << ", \"sessions_active\": "
-      << static_cast<std::uint64_t>(sessions_active_->value())
+      << static_cast<std::uint64_t>(series_.sessions_active->value())
       << ", \"inflight\": " << inflight
       << ", \"session_inflight\": " << session_inflight
       << ", \"uptime_s\": " << fmt_double_exact(uptime_seconds())
@@ -310,10 +147,6 @@ std::string Server::stats_frame_json(const std::string& id, std::int64_t seq,
 std::string Server::metrics_text() const {
   warm_->mirror_metrics();
   uptime_gauge_->set(uptime_seconds());
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    inflight_gauge_->set(static_cast<double>(inflight_));
-  }
   return warm_->telemetry().registry().expose();
 }
 
@@ -347,198 +180,116 @@ void Server::maybe_slow_log(const SolveResponse& response, double elapsed_ms,
   out << line.str() << std::flush;
 }
 
-Server::RenderedResponse Server::execute_and_render(const PendingRequest& pending) {
-  RenderedResponse rendered;
-  SolveResponse& response = rendered.response;
-  if (!pending.bad.empty()) {
-    response.error = pending.bad;
-    response.id = pending.req.id;
+std::string Server::render(const SolveRequest& req, std::int64_t seq,
+                           const std::string& bad) {
+  SolveResponse response;
+  if (!bad.empty()) {
+    response.error = bad;
+    response.id = req.id;
   } else {
     fault::maybe_stall();
-    response = run_request(registry_, *warm_, pending.req, options_.alg,
-                           options_.solve);
-    rendered.executed = true;
+    response = run_request(registry_, *warm_, req, options_.alg, options_.solve);
   }
-  response.seq = pending.seq;
+  response.seq = seq;
   // Keep the real timing and trace for the slow log before --stable strips
   // them from the wire form.
-  rendered.elapsed_ms = response.elapsed_ms;
-  rendered.trace = response.trace;
+  const double elapsed_ms = response.elapsed_ms;
+  const auto trace = response.trace;
   if (options_.stable_output) response.strip_timing();
-  // Count BEFORE the caller writes: a client that has read a response must
-  // find it reflected in the very next stats frame (the lockstep test pins
-  // this).
   (response.ok ? responses_ok_ : responses_error_)->inc();
-  std::ostringstream line;
-  write_response_json(line, response);
-  rendered.line = line.str();
-  return rendered;
-}
-
-void Server::answer(Transport& transport, SessionState& state,
-                    const PendingRequest& pending) {
-  const RenderedResponse rendered = execute_and_render(pending);
-  {
-    std::lock_guard<std::mutex> out_lock(state.out_mu);
-    transport.out() << rendered.line;
-    transport.out().flush();
-  }
   // Only executed solves are slow-log candidates; malformed frames never
   // reached the engine and have no timing to report.
-  if (rendered.executed) {
-    maybe_slow_log(rendered.response, rendered.elapsed_ms, rendered.trace);
-  }
+  if (bad.empty()) maybe_slow_log(response, elapsed_ms, trace);
+  return encode_response_json(response);
 }
 
-// Admission control: the session thread blocks once max_inflight_ requests
-// are in the pool (across all sessions), so arbitrarily fast clients never
-// pile up closures.
-void Server::submit(Transport& transport, SessionState& state, PendingRequest pending) {
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return inflight_ < max_inflight_; });
-    ++inflight_;
-    ++state.inflight;
-    inflight_gauge_->set(static_cast<double>(inflight_));
-  }
-  pool_->submit([this, &transport, &state, pending = std::move(pending)] {
-    answer(transport, state, pending);
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      --inflight_;
-      --state.inflight;
-      inflight_gauge_->set(static_cast<double>(inflight_));
-    }
-    cv_.notify_all();
-  });
-}
+Dispatch Server::classify(Frame frame, SessionInfo& session) {
+  const std::int64_t seq = seq_.fetch_add(1);
+  SolveRequest& req = frame.req;
+  std::string& bad = frame.bad;
+  if (req.id.empty()) req.id = "#" + std::to_string(seq);
+  const bool probe = bad.empty() && (frame.kind == Frame::Kind::kStats ||
+                                     frame.kind == Frame::Kind::kMetrics);
 
-void Server::session(Transport& transport) {
-  sessions_total_->inc();
-  sessions_active_->add(1);
-  SessionState state;
-  bool authed = options_.auth_token.empty();
-  std::istream& in = transport.in();
-  std::string line;
-  while (std::getline(in, line)) {
-    const std::string text = trimmed(line);
-    if (text.empty() || text[0] == '#') continue;
-    Frame frame = parse_frame(text, in);
-    if (frame.kind == Frame::Kind::kQuit) break;
-    if (frame.kind == Frame::Kind::kShutdown) {
-      shutdown_.store(true);
-      break;
-    }
-
-    PendingRequest pending;
-    pending.seq = seq_.fetch_add(1);
-    pending.req = std::move(frame.req);
-    pending.bad = std::move(frame.bad);
-    pending.stats = pending.bad.empty() && frame.kind == Frame::Kind::kStats;
-    pending.metrics = pending.bad.empty() && frame.kind == Frame::Kind::kMetrics;
-    if (pending.req.id.empty()) pending.req.id = "#" + std::to_string(pending.seq);
-
-    // Frame-type accounting at classification time, in admission order (the
-    // frame counts itself: a stats frame admitted as seq N reports N+1
-    // requests, matching the pre-registry requests_ counter it replaces).
-    // Malformed means rejected at the protocol layer — a well-formed frame
-    // whose solve fails still counts as a solve frame (its failure shows up
-    // in the response status counters instead).
-    if (!pending.bad.empty()) {
-      frames_malformed_->inc();
-    } else if (pending.stats) {
-      frames_stats_->inc();
-    } else if (pending.metrics) {
-      frames_metrics_->inc();
-    } else if (frame.kind == Frame::Kind::kAuth) {
-      frames_auth_->inc();
-    } else {
-      frames_solve_->inc();
-    }
-
-    // The auth gate. A valid token flips the session to authed silently (the
-    // next frame's response is the ack — no response traffic to time); a bad
-    // token or any pre-auth frame is answered with an error and the session
-    // closes, so an unauthenticated peer gets exactly one line out of us.
-    if (pending.bad.empty() && frame.kind == Frame::Kind::kAuth) {
-      if (authed || detail::token_equal(frame.auth_token, options_.auth_token)) {
-        authed = true;  // re-auth / auth without a configured token: ignored
-        continue;
-      }
-      rejects_auth_->inc();
-      pending.bad = "auth failed: bad token";
-      answer(transport, state, pending);
-      break;
-    }
-    if (!authed) {
-      rejects_auth_->inc();
-      pending.bad = "auth required: present `auth TOKEN` as the first frame";
-      pending.stats = pending.metrics = false;
-      answer(transport, state, pending);
-      break;
-    }
-
-    // Fault injection (solve frames only; inert without BISCHED_FAULT):
-    // crash-after _exits inside the hook, drop-after ends the session with
-    // the response unsent — the client sees the connection die mid-request,
-    // which is exactly what the router's retry path must absorb.
-    if (pending.bad.empty() && !pending.stats && !pending.metrics &&
-        fault::on_solve_frame() == fault::Action::kDropConnection) {
-      transport.interrupt();
-      break;
-    }
-
-    // Introspection is answered inline: a stats/metrics probe must not queue
-    // behind the heavy solves it is there to observe. (One that failed
-    // validation — reserved id — takes the error path below instead.)
-    if ((pending.stats || pending.metrics) && pending.bad.empty()) {
-      // Snapshot first (the probe does not count itself as answered), count
-      // second (the same read-implies-counted order answer() follows),
-      // write last.
-      std::size_t session_inflight = 0;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        session_inflight = state.inflight;
-      }
-      const std::string frame_line =
-          pending.stats ? stats_frame_json(pending.req.id, pending.seq, session_inflight)
-                        : metrics_frame_json(pending.req.id, pending.seq);
-      responses_ok_->inc();
-      std::lock_guard<std::mutex> out_lock(state.out_mu);
-      transport.out() << frame_line;
-      transport.out().flush();
-      continue;
-    }
-
-    // Per-session quota: answered inline as a structured error — the frame
-    // is refused a pool slot, the session stays open, and the client can
-    // resubmit once its own in-flight work drains. (The global bound below
-    // stays backpressure: it delays admission rather than refusing it.)
-    if (pending.bad.empty() && options_.session_max_inflight > 0) {
-      bool over = false;
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        over = state.inflight >= options_.session_max_inflight;
-      }
-      if (over) {
-        rejects_quota_->inc();
-        pending.bad = "over-quota: session already has " +
-                      std::to_string(options_.session_max_inflight) +
-                      " requests in flight";
-        answer(transport, state, pending);
-        continue;
-      }
-    }
-    submit(transport, state, std::move(pending));
+  // Frame-type accounting at classification time, in admission order (the
+  // frame counts itself: a stats frame admitted as seq N reports N+1
+  // requests). Malformed means rejected at the protocol layer — a
+  // well-formed frame whose solve fails still counts as a solve frame (its
+  // failure shows up in the response status counters instead).
+  if (!bad.empty()) {
+    frames_malformed_->inc();
+  } else if (frame.kind == Frame::Kind::kStats) {
+    frames_stats_->inc();
+  } else if (frame.kind == Frame::Kind::kMetrics) {
+    frames_metrics_->inc();
+  } else if (frame.kind == Frame::Kind::kAuth) {
+    frames_auth_->inc();
+  } else {
+    frames_solve_->inc();
   }
 
-  // Drain THIS session's in-flight work before the caller may tear the
-  // transport down; concurrent sessions keep running on the shared pool.
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    cv_.wait(lock, [&] { return state.inflight == 0; });
+  // The auth gate. A valid token flips the session to authed silently (the
+  // next frame's response is the ack — no response traffic to time); a bad
+  // token or any pre-auth frame is answered with an error and the session
+  // closes, so an unauthenticated peer gets exactly one line out of us.
+  const bool open = options_.auth_token.empty();
+  Dispatch dispatch;
+  if (bad.empty() && frame.kind == Frame::Kind::kAuth) {
+    if (open || session.authed || token_equal(frame.auth_token, options_.auth_token)) {
+      session.authed = true;  // re-auth / auth without a configured token: ignored
+      return dispatch;
+    }
+    rejects_auth_->inc();
+    dispatch.line = render(req, seq, "auth failed: bad token");
+    dispatch.close = true;
+    return dispatch;
   }
-  sessions_active_->add(-1);
+  if (!open && !session.authed) {
+    rejects_auth_->inc();
+    dispatch.line =
+        render(req, seq, "auth required: present `auth TOKEN` as the first frame");
+    dispatch.close = true;
+    return dispatch;
+  }
+
+  // Fault injection (solve frames only; inert without BISCHED_FAULT):
+  // crash-after _exits inside the hook, drop-after ends the session with
+  // the response unsent — the client sees the connection die mid-request,
+  // which is exactly what the router's retry path must absorb.
+  if (bad.empty() && !probe &&
+      fault::on_solve_frame() == fault::Action::kDropConnection) {
+    dispatch.drop = true;
+    return dispatch;
+  }
+
+  // Introspection is answered inline: a stats/metrics probe must not queue
+  // behind the heavy solves it is there to observe. The snapshot does not
+  // count the probe itself as answered; the count comes before the write.
+  if (probe) {
+    dispatch.line = frame.kind == Frame::Kind::kStats
+                        ? stats_frame_json(req.id, seq, session.inflight)
+                        : metrics_frame_json(req.id, seq);
+    responses_ok_->inc();
+    return dispatch;
+  }
+
+  // Per-session quota: refused inline with a structured error — the session
+  // stays open, and the client can resubmit once its own work drains. (The
+  // global bound stays backpressure: it parks reads rather than refusing.)
+  if (bad.empty() && options_.session_max_inflight > 0 &&
+      session.inflight >= options_.session_max_inflight) {
+    rejects_quota_->inc();
+    dispatch.line = render(req, seq,
+                           "over-quota: session already has " +
+                               std::to_string(options_.session_max_inflight) +
+                               " requests in flight");
+    return dispatch;
+  }
+
+  dispatch.work = [this, req = std::move(req), bad = std::move(bad), seq] {
+    return render(req, seq, bad);
+  };
+  return dispatch;
 }
 
 ServeStats Server::stats() const {
@@ -552,7 +303,7 @@ ServeStats Server::stats() const {
                    stats.auth_frames + stats.malformed;
   stats.ok = responses_ok_->value();
   stats.errors = responses_error_->value();
-  stats.sessions = sessions_total_->value();
+  stats.sessions = series_.sessions_total->value();
   stats.cache = warm_->profiles().stats();
   stats.results = warm_->results().stats();
   return stats;
@@ -561,109 +312,17 @@ ServeStats Server::stats() const {
 ServeStats serve(const SolverRegistry& registry, std::istream& in, std::ostream& out,
                  const ServeOptions& options, WarmState* warm) {
   Server server(registry, options, warm);
-  IostreamTransport transport(in, out);
-  server.session(transport);
+  serve_stream(server, in, out, options.pipeline_depth);
   server.warm().flush();
   return server.stats();
-}
-
-void run_accept_loop(Listener& listener, const std::function<void(Transport&)>& session,
-                     const std::function<bool()>& stop,
-                     const std::function<void()>& tick) {
-  // SIGTERM means graceful drain: the loop below observes the flag at its
-  // next poll tick, stops accepting, and falls through to the same
-  // interrupt-and-drain teardown a `shutdown` frame takes. (poll() is never
-  // restarted after a signal handler, so a pending accept wakes promptly.)
-  ::signal(SIGTERM, drain_handler);
-  g_drain.store(false);
-
-  // Session threads are detached and tracked by a live count, not collected
-  // in a vector: a long-lived server handling many short connections must
-  // not accumulate one joinable zombie thread per client ever served. The
-  // count (not the threads) is what shutdown waits on; the transport
-  // pointers are kept so shutdown can interrupt sessions whose clients are
-  // idle but still connected (a blocked getline would otherwise hold the
-  // server open forever).
-  std::mutex live_mu;
-  std::condition_variable live_cv;
-  std::size_t live_sessions = 0;
-  std::vector<Transport*> live_transports;
-  while (!stop() && !g_drain.load() && listener.ok()) {
-    auto client = listener.accept(/*poll_ms=*/200);
-    if (tick) tick();
-    if (client == nullptr) continue;
-    {
-      std::lock_guard<std::mutex> lock(live_mu);
-      ++live_sessions;
-      live_transports.push_back(client.get());
-    }
-    // The thread owns its transport: destroying it when the session drains
-    // closes the fd, which is the client's cue that its conversation is
-    // complete.
-    std::thread([&session, &live_mu, &live_cv, &live_sessions, &live_transports,
-                 client = std::move(client)]() mutable {
-      session(*client);
-      {
-        // Deregister before destroying: past this block the shutdown path
-        // can no longer reach the transport.
-        std::lock_guard<std::mutex> lock(live_mu);
-        std::erase(live_transports, client.get());
-      }
-      client.reset();
-      // Release the count only once teardown is complete (the caller — and
-      // the process — may proceed the moment it hits zero), and notify
-      // under the lock: the caller's locals (this cv included) may be
-      // destroyed as soon as the waiter sees zero.
-      std::lock_guard<std::mutex> lock(live_mu);
-      --live_sessions;
-      live_cv.notify_all();
-    }).detach();
-  }
-  {
-    // Force EOF on every still-connected session so shutdown means "drain
-    // in-flight work and stop", not "wait for every idle client to leave".
-    std::unique_lock<std::mutex> lock(live_mu);
-    for (Transport* transport : live_transports) transport->interrupt();
-    live_cv.wait(lock, [&] { return live_sessions == 0; });
-  }
 }
 
 ServeStats serve_listener(const SolverRegistry& registry, Listener& listener,
                           const ServeOptions& options, std::string* error,
                           WarmState* warm) {
-  // A client that disconnects mid-response must cost one session, not the
-  // process: without this, the first write into its dead socket raises
-  // SIGPIPE and kills the server. Ignored process-wide; the failed flush
-  // surfaces as a stream error and the session ends on the EOF that follows.
-  ::signal(SIGPIPE, SIG_IGN);
-
   Server server(registry, options, warm);
-  bool loop_ok = true;
-  if (options.core == ServeOptions::Core::kAsync && listener.fd() >= 0) {
-    // The epoll readiness core: sessions are heap state on one loop thread,
-    // the solver pool stays the only real compute pool. It owns the same
-    // periodic-flush / SIGTERM-drain duties the thread-per-client path has.
-    EventLoop loop(server, listener);
-    loop_ok = loop.run();
-  } else {
-    auto last_flush = std::chrono::steady_clock::now();
-    run_accept_loop(
-        listener, [&server](Transport& transport) { server.session(transport); },
-        [&server] { return server.shutdown_requested(); },
-        [&server, &last_flush] {
-          // Periodic warmth durability: push buffered journal appends to the
-          // OS between accepts (and heartbeat the store's write lease), so a
-          // crash loses at most kStoreFlushInterval of traffic. No-op for
-          // memory-only warm state.
-          const auto now = std::chrono::steady_clock::now();
-          if (now - last_flush >= kStoreFlushInterval) {
-            server.warm().flush();
-            last_flush = now;
-          }
-        });
-  }
-  if ((!listener.ok() || !loop_ok) && !server.shutdown_requested() &&
-      error != nullptr) {
+  EventLoop loop(server, listener, options.pipeline_depth, options.idle_timeout_ms);
+  if (!loop.run() && !server.shutdown_requested() && error != nullptr) {
     *error = "listener on '" + listener.endpoint() + "' failed";
   }
   server.warm().flush();

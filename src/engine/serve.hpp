@@ -2,23 +2,21 @@
 //
 // The resident state — one registry, one WarmState (probe + result caches,
 // optionally disk-tiered behind a store directory), one thread pool — lives
-// in a transport-agnostic `Server`. A *session* is one client's framed
-// conversation over a `Transport` (engine/transport.hpp): `Server::session`
-// reads frames, decodes them through the engine/api v1 codec, fans the
-// solves across the shared pool under a global in-flight bound, and streams
-// each response back on that client's transport as it completes (one JSON
-// Lines object per request, flushed per line). Sessions may run
-// concurrently — every client is answered from the same warm state and
-// pool, so traffic from one client warms the next, and a persistent store
-// warms the next *process*.
+// in `Server`, one of the two handlers behind the session engine
+// (engine/serve/session.hpp; the fleet router is the other). The engine
+// turns each client's bytes into frames; Server classifies them, answers
+// probes and refusals inline, and runs solves on its pool, each response one
+// JSON Lines object written in the order its frame arrived. Every client is
+// answered from the same warm state and pool, so traffic from one client
+// warms the next, and a persistent store warms the next *process*.
 //
-//   serve(...)           one session over borrowed iostreams — the classic
-//                        stdin/stdout framed loop, unchanged in behavior.
-//   serve_listener(...)  accept loop over any Listener: any number of
-//                        concurrent clients (one session thread each) until
-//                        a client sends `shutdown`. Periodically flushes
-//                        the warm state's journals, so a crash loses at
-//                        most the last interval.
+//   serve(...)           one session over borrowed iostreams (stdin/stdout,
+//                        in-process callers), driven by serve_stream.
+//   serve_listener(...)  the epoll event loop (serve/event_loop.hpp) over any
+//                        Listener: any number of concurrent, pipelining
+//                        clients until one sends `shutdown` (or SIGTERM).
+//                        Periodically flushes the warm state's journals, so a
+//                        crash loses at most the last interval.
 //   serve_unix(...)      serve_listener over a unix-domain socket.
 //   serve_tcp(...)       serve_listener over an AF_INET/AF_INET6 socket
 //                        (loopback-only unless allow_remote; remote binds
@@ -68,7 +66,9 @@
 // yields an error response, never a crash or a dropped request; after a
 // malformed native `instance` body the session discards input up to the
 // next blank line (bodies contain none) so the remainder of the broken body
-// is not misread as frames.
+// is not misread as frames. Solve and error responses leave in send order;
+// stats/metrics probes, auth errors and over-quota refusals are answered
+// inline and may overtake queued solves.
 //
 // Ids: requests without an id get `#<seq>`, where `seq` is the server-wide
 // admission counter — the collision-free correlation key across all
@@ -79,9 +79,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <mutex>
@@ -89,16 +87,11 @@
 
 #include "engine/api.hpp"
 #include "engine/registry.hpp"
+#include "engine/serve/session.hpp"
 #include "engine/store/warm_state.hpp"
 #include "engine/transport.hpp"
 
-namespace bisched {
-class ThreadPool;
-}  // namespace bisched
-
 namespace bisched::engine {
-
-class EventLoop;
 
 struct ServeOptions {
   std::string alg = "auto";  // default per-request algorithm
@@ -121,54 +114,15 @@ struct ServeOptions {
   // admission bound. 0 = no per-session quota (the global bound still
   // applies, exerted as backpressure).
   std::size_t session_max_inflight = 0;
-  // Which session engine a socket listener runs. kAsync is the epoll
-  // readiness loop (engine/serve/event_loop.hpp): a session is cheap heap
-  // state, requests pipeline within a connection, and admission is exerted
-  // by parking reads. kThreads is the legacy thread-per-client core, kept
-  // for the old-vs-new differential tests and as an escape hatch. Stdio
-  // serve always runs the blocking session loop — borrowed iostreams cannot
-  // be epoll'd.
-  enum class Core { kAsync, kThreads };
-  Core core = Core::kAsync;
-  // Async core only: a session that has completed no frame for this long is
-  // closed without a response (slowloris guard), counted as
+  // Socket listeners only: a session that has completed no frame for this
+  // long is closed without a response (slowloris guard), counted as
   // bisched_serve_rejects_total{reason="idle-timeout"}. 0 = never reap.
   int idle_timeout_ms = 0;
-  // Async core only: per-session pipelining bound — a session with this many
-  // solve frames in flight has its reads parked (pure backpressure; the
-  // frames are answered, unlike the `over-quota` refusal above) until
-  // completions drain. 0 = 64.
+  // Per-session pipelining bound — a session with this many solve frames in
+  // flight has its reads parked (pure backpressure; the frames are answered,
+  // unlike the `over-quota` refusal above) until completions drain. 0 = 64.
   std::size_t pipeline_depth = 0;
 };
-
-// One classified request frame — the grammar in the header comment above,
-// shared by the serve session loop and the fleet router so the two
-// front-ends cannot drift. The caller strips blank/comment lines first; a
-// native `instance` frame parses its body from `in` (on a body parse error
-// input is discarded up to the next blank line). A frame with a malformed
-// shape or a reserved `#<digits>` id comes back with `bad` set; the caller
-// answers it as an error response.
-struct Frame {
-  enum class Kind { kSolve, kStats, kMetrics, kAuth, kQuit, kShutdown };
-  Kind kind = Kind::kSolve;
-  SolveRequest req;        // kSolve source/overrides; kStats/kMetrics id
-  std::string auth_token;  // kAuth: the presented token, verbatim
-  std::string bad;         // nonempty: malformed — answer with this error
-};
-
-Frame parse_frame(const std::string& frame, std::istream& in);
-
-// The line-level half of parse_frame, with no stream access: a native
-// `instance` header comes back classified (id validated, kind kSolve) with
-// *needs_body set and req.parsed still empty — the async core scans the body
-// incrementally from its read buffer, where parse_frame consumes it from the
-// live stream on the spot. For every other frame the two are identical.
-Frame classify_frame(const std::string& frame, bool* needs_body);
-
-namespace detail {
-// Constant-time token comparison (timing-safe auth), shared by both cores.
-bool token_equal(const std::string& a, const std::string& b);
-}  // namespace detail
 
 struct ServeStats {
   // Admitted frames by type; `requests` is their sum (every frame admitted).
@@ -188,26 +142,18 @@ struct ServeStats {
   ResultCache::Stats results;
 };
 
-// The resident, transport-agnostic core. Construct once; run one session
-// per connected client (concurrently if desired); read stats() at the end.
-class Server {
+// The resident core and the serve handler of the session engine. Construct
+// once, hand to a runner (serve / serve_listener do both), read stats() at
+// the end.
+class Server final : public SessionHandler {
  public:
   // `warm` may be shared (e.g. pre-warmed by a batch run, or carrying a
   // persistent store); nullptr uses a private memory-only one.
   Server(const SolverRegistry& registry, const ServeOptions& options,
          WarmState* warm = nullptr);
-  ~Server();
+  ~Server() override;
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
-
-  // Runs one client session on `transport` until EOF, `quit`, or
-  // `shutdown`, then drains that session's in-flight requests before
-  // returning (other sessions' work is unaffected). Thread-safe: call
-  // concurrently with one transport per thread.
-  void session(Transport& transport);
-
-  // Set once a session consumes a `shutdown` frame; the accept loop polls it.
-  bool shutdown_requested() const { return shutdown_.load(); }
 
   WarmState& warm() { return *warm_; }
   ServeStats stats() const;
@@ -219,44 +165,20 @@ class Server {
 
   double uptime_seconds() const;
 
+  // SessionHandler: frame accounting, the auth gate, fault hooks, inline
+  // stats/metrics, the per-session quota, and solves on the pool.
+  Dispatch classify(Frame frame, SessionInfo& session) override;
+  ThreadPool& pool() override { return *pool_; }
+  std::size_t max_inflight() const override { return max_inflight_; }
+  SessionSeries& series() override { return series_; }
+  void flush() override { warm_->flush(); }
+
  private:
-  friend class EventLoop;  // the async core drives the same pipeline
-
-  struct SessionState;
-
-  // One admitted frame. The session loop decodes only what must come off the
-  // shared request stream: a native `instance` body is parsed in place (into
-  // req.parsed), while file requests and inline instance text defer their
-  // IO/parse work to the worker so the loop keeps admitting frames.
-  struct PendingRequest {
-    SolveRequest req;
-    std::int64_t seq = 0;
-    bool stats = false;    // `stats [ID]` introspection frame, answered inline
-    bool metrics = false;  // `metrics [ID]` scrape frame, answered inline
-    std::string bad;       // nonempty: malformed frame, answer with this error
-  };
-
-  // What execute_and_render hands back: the wire bytes plus the pre-strip
-  // timing/trace the slow log wants (the caller logs after the write, keeping
-  // the blocking core's write-then-log order; the async worker logs at
-  // completion time).
-  struct RenderedResponse {
-    std::string line;       // one JSON Lines response, '\n'-terminated
-    SolveResponse response; // post-strip, for the slow-log line's fields
-    double elapsed_ms = 0;
-    std::shared_ptr<const telemetry::Trace> trace;
-    bool executed = false;  // false: malformed frame, never reached the engine
-  };
-
-  // Runs (or rejects) one pending frame and renders the response line. The
-  // ok/error response counter is bumped here, BEFORE the caller writes — a
-  // client that has read a response must find it reflected in the very next
-  // stats frame (the lockstep test pins this). Both cores answer through
-  // this one path so their bytes cannot drift.
-  RenderedResponse execute_and_render(const PendingRequest& pending);
-
-  void submit(Transport& transport, SessionState& state, PendingRequest pending);
-  void answer(Transport& transport, SessionState& state, const PendingRequest& pending);
+  // Runs (or rejects, when `bad` is set) one admitted frame and renders its
+  // response line. The ok/error response counter is bumped BEFORE the line
+  // is written — a client that has read a response must find it reflected
+  // in the very next stats frame (the lockstep test pins this).
+  std::string render(const SolveRequest& req, std::int64_t seq, const std::string& bad);
   // Introspection frames, answered inline (no pool round trip):
   // `"type": "stats"` (flat counters) and `"type": "metrics"` (Prometheus
   // exposition in the "body" member).
@@ -274,11 +196,7 @@ class Server {
   std::unique_ptr<ThreadPool> pool_;
   const std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();
-
-  mutable std::mutex mu_;  // guards the admission state below
-  std::condition_variable cv_;
-  std::size_t inflight_ = 0;  // global admission bound across sessions
-  std::atomic<std::int64_t> seq_{0};
+  std::atomic<std::int64_t> seq_{0};  // admission order across sessions
 
   // Counters/gauges live in warm_->telemetry()'s registry so one scrape sees
   // engine and serve series together; updates are lock-free (the lockstep
@@ -293,47 +211,26 @@ class Server {
   telemetry::Counter* responses_error_ = nullptr;
   telemetry::Counter* rejects_auth_ = nullptr;
   telemetry::Counter* rejects_quota_ = nullptr;
-  telemetry::Counter* rejects_idle_ = nullptr;
-  telemetry::Counter* sessions_total_ = nullptr;
-  telemetry::Gauge* sessions_active_ = nullptr;
-  telemetry::Gauge* inflight_gauge_ = nullptr;
-  // Async-core series: sessions registered on the event loop, how many of
-  // them are read-parked by backpressure, the deepest per-session pipeline
-  // ever observed, and loop wakeups (epoll_wait returns).
-  telemetry::Gauge* open_sessions_ = nullptr;
-  telemetry::Gauge* parked_sessions_ = nullptr;
-  telemetry::Gauge* pipeline_peak_ = nullptr;
-  telemetry::Counter* loop_wakeups_ = nullptr;
+  SessionSeries series_;  // sessions, in-flight, loop and idle-reap series
   telemetry::Gauge* uptime_gauge_ = nullptr;
 
   std::mutex slow_log_mu_;  // one slow-log line at a time
-  std::atomic<bool> shutdown_{false};
 };
 
 // One session over borrowed streams: runs until EOF or a `quit`/`shutdown`
-// frame, drains, and returns the stats. The stdin/stdout framed loop and the
-// in-process tests/benches use this.
+// frame, drains, and returns the stats. The stdin/stdout framed loop and
+// in-process callers use this.
 ServeStats serve(const SolverRegistry& registry, std::istream& in, std::ostream& out,
                  const ServeOptions& options, WarmState* warm = nullptr);
 
-// Accept loop over an already-open listener: serves concurrent clients from
-// one resident Server until a client sends `shutdown` (or the listener
-// fails). When `warm` is persistent its journals are flushed periodically
-// (and once more on return). Returns aggregate stats; on listener failure
-// returns the stats so far with *error set.
+// The event loop over an already-open listener: serves concurrent clients
+// from one resident Server until a client sends `shutdown`, SIGTERM, or the
+// listener fails. When `warm` is persistent its journals are flushed
+// periodically (and once more on return). Returns aggregate stats; on
+// listener failure returns the stats so far with *error set.
 ServeStats serve_listener(const SolverRegistry& registry, Listener& listener,
                           const ServeOptions& options, std::string* error,
                           WarmState* warm = nullptr);
-
-// The accept loop under serve_listener, factored out so the fleet router
-// front-end can share it: accepts clients off `listener`, runs `session` on
-// a detached thread per connection (the thread owns its transport), calls
-// `tick()` between accepts (~every 200ms poll), and stops when `stop()`
-// turns true, the listener fails, or the process receives SIGTERM (graceful
-// drain: stop accepting, interrupt idle sessions, wait for in-flight work).
-void run_accept_loop(Listener& listener, const std::function<void(Transport&)>& session,
-                     const std::function<bool()>& stop,
-                     const std::function<void()>& tick);
 
 // serve_listener over a unix-domain socket at `socket_path`. On listener
 // setup failure returns zero stats with *error set.

@@ -8,28 +8,21 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cctype>
 #include <cerrno>
 #include <chrono>
 #include <csignal>
-#include <cstdlib>
 #include <cstring>
 #include <deque>
 #include <iostream>
-#include <istream>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <streambuf>
 #include <string>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "engine/fault.hpp"
-#include "engine/serve.hpp"
+#include "engine/serve/session.hpp"
 #include "engine/transport.hpp"
-#include "io/format.hpp"
 #include "util/parallel.hpp"
 
 namespace bisched::engine {
@@ -38,311 +31,32 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Same duties as the blocking core's constants: journal flush cadence, and
-// how long shutdown waits for a slow reader before dropping its responses.
+// Journal flush cadence, and how long shutdown waits for a slow reader
+// before dropping its responses.
 constexpr std::chrono::seconds kStoreFlushInterval(5);
 constexpr std::chrono::seconds kShutdownFlushGrace(5);
 
-// A peer that queues responses it never reads gets its requests parked too:
-// past this many unflushed response bytes the session stops decoding frames
-// until the socket drains.
-constexpr std::size_t kWriteHighWater = std::size_t{4} << 20;
-
-// Default per-session pipeline bound when ServeOptions::pipeline_depth is 0.
-constexpr std::size_t kDefaultPipelineDepth = 64;
-
-// SIGTERM = graceful drain, exactly like run_accept_loop's handler (one core
-// runs at a time, so each installs its own flag).
+// SIGTERM = graceful drain: stop accepting, finish in-flight work, flush.
+// The supervisor stops fleet backends this way.
 std::atomic<bool> g_drain{false};
 void drain_handler(int) { g_drain.store(true); }
 
-// Mirrors the blocking session loop's line trimming (see serve.cpp).
-std::string trimmed(const std::string& line) {
-  const auto start = line.find_first_not_of(" \t\r\v\f");
-  if (start == std::string::npos) return "";
-  const auto end = line.find_last_not_of(" \t\r\v\f");
-  return line.substr(start, end - start + 1);
-}
-
-// Read-only streambuf over a byte range: lets the finished instance body be
-// replayed through parse_instance without copying it out of the read buffer.
-class MemBuf final : public std::streambuf {
- public:
-  MemBuf(const char* begin, const char* end) {
-    char* b = const_cast<char*>(begin);
-    setg(b, b, const_cast<char*>(end));
-  }
-};
-
-// ------------------------------------------------------ instance body scan ---
-//
-// The blocking core hands the live istream to parse_instance and simply
-// blocks until the body has streamed in. The readiness loop cannot block, so
-// this scanner answers "does the buffer hold one complete instance yet?" by
-// mirroring parse_instance's CONSUMPTION automaton token by token — the same
-// literals, the same integer checks, the same count ranges, the same
-// per-value validation points — so it stops at exactly the byte where the
-// real parser would stop, for well-formed and malformed bodies alike. It
-// never produces an instance or an error message itself: once it stops, the
-// consumed range is replayed through parse_instance (one parser decides
-// validity and wording; the differential test pins the equivalence).
-class InstanceBodyScanner {
- public:
-  enum class Status { kNeedMore, kComplete, kBad };
-
-  // Consumes tokens from buf[*pos..), advancing *pos past every fully
-  // consumed token (plus leading whitespace and '#' comments). `eof` means
-  // no more bytes will ever arrive: a token at the buffer edge is then
-  // complete, and a truncated body turns kNeedMore into kBad.
-  Status feed(const std::string& buf, std::size_t* pos, bool eof) {
-    while (true) {
-      if (step_ == Step::kDone) return Status::kComplete;
-      if (step_ == Step::kFailed) return Status::kBad;
-      std::size_t i = *pos;
-      while (i < buf.size() && std::isspace(static_cast<unsigned char>(buf[i]))) {
-        ++i;
-      }
-      if (i >= buf.size()) {
-        *pos = buf.size();
-        if (!eof) return Status::kNeedMore;
-        step_ = Step::kFailed;  // truncated: replay reports "end of input"
-        return Status::kBad;
-      }
-      if (buf[i] == '#') {  // comment to end of line, like io/format's Tokens
-        const auto nl = buf.find('\n', i);
-        if (nl == std::string::npos) {
-          *pos = i;
-          if (!eof) return Status::kNeedMore;
-          *pos = buf.size();
-          step_ = Step::kFailed;
-          return Status::kBad;
-        }
-        *pos = nl + 1;
-        continue;
-      }
-      std::size_t end = i;
-      while (end < buf.size() &&
-             !std::isspace(static_cast<unsigned char>(buf[end]))) {
-        ++end;
-      }
-      if (end == buf.size() && !eof) {
-        *pos = i;  // the token may still be growing
-        return Status::kNeedMore;
-      }
-      const std::string token = buf.substr(i, end - i);
-      *pos = end;
-      const Status status = on_token(token);
-      if (status != Status::kNeedMore) return status;
-    }
-  }
-
- private:
-  // Grammar positions, in parse_instance order.
-  enum class Step {
-    kMagic, kKind, kVersion, kJobsKw, kJobsN,
-    kPKw, kPVal, kSpeedsKw, kSpeedsM, kSpeedVal,
-    kMachinesKw, kMachinesM, kTimesKw, kTimesVal,
-    kEdgesKw, kEdgesK, kEdgeVal,
-    kDone, kFailed,
-  };
-
-  // Bounds duplicated from io/format.cpp — the scanner must range-check the
-  // counts it loops on, or a wild `edges 10^15` would make it wait forever
-  // where the parser errors out immediately.
-  static constexpr std::int64_t kMaxJobs = 10'000'000;
-  static constexpr std::int64_t kMaxMachines = 1'000'000;
-
-  static bool as_int(const std::string& token, std::int64_t* out) {
-    errno = 0;
-    char* end = nullptr;
-    const long long value = std::strtoll(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0' || errno != 0) return false;
-    *out = value;
-    return true;
-  }
-
-  Status fail() {
-    step_ = Step::kFailed;
-    return Status::kBad;
-  }
-  Status done() {
-    step_ = Step::kDone;
-    return Status::kComplete;
-  }
-
-  Status on_token(const std::string& token) {
-    std::int64_t value = 0;
-    switch (step_) {
-      case Step::kMagic:
-        if (token != "bisched") return fail();
-        step_ = Step::kKind;
-        return Status::kNeedMore;
-      case Step::kKind:
-        if (token != "uniform" && token != "unrelated") return fail();
-        uniform_ = token == "uniform";
-        step_ = Step::kVersion;
-        return Status::kNeedMore;
-      case Step::kVersion:
-        if (token != "v1") return fail();
-        step_ = Step::kJobsKw;
-        return Status::kNeedMore;
-      case Step::kJobsKw:
-        if (token != "jobs") return fail();
-        step_ = Step::kJobsN;
-        return Status::kNeedMore;
-      case Step::kJobsN:
-        if (!as_int(token, &n_) || n_ < 0 || n_ > kMaxJobs) return fail();
-        step_ = uniform_ ? Step::kPKw : Step::kMachinesKw;
-        return Status::kNeedMore;
-
-      case Step::kPKw:
-        if (token != "p") return fail();
-        index_ = 0;
-        array_bad_ = false;
-        step_ = n_ == 0 ? Step::kSpeedsKw : Step::kPVal;
-        return Status::kNeedMore;
-      case Step::kPVal:
-        if (!as_int(token, &value)) return fail();
-        if (value < 1) array_bad_ = true;  // checked after the whole array
-        if (++index_ == n_) {
-          if (array_bad_) return fail();
-          step_ = Step::kSpeedsKw;
-        }
-        return Status::kNeedMore;
-      case Step::kSpeedsKw:
-        if (token != "speeds") return fail();
-        step_ = Step::kSpeedsM;
-        return Status::kNeedMore;
-      case Step::kSpeedsM:
-        if (!as_int(token, &m_) || m_ < 1 || m_ > kMaxMachines) return fail();
-        index_ = 0;
-        array_bad_ = false;
-        step_ = Step::kSpeedVal;
-        return Status::kNeedMore;
-      case Step::kSpeedVal:
-        if (!as_int(token, &value)) return fail();
-        if (value < 1) array_bad_ = true;
-        if (++index_ == m_) {
-          if (array_bad_) return fail();
-          step_ = Step::kEdgesKw;
-        }
-        return Status::kNeedMore;
-
-      case Step::kMachinesKw:
-        if (token != "machines") return fail();
-        step_ = Step::kMachinesM;
-        return Status::kNeedMore;
-      case Step::kMachinesM:
-        if (!as_int(token, &m_) || m_ < 1 || m_ > kMaxMachines) return fail();
-        step_ = Step::kTimesKw;
-        return Status::kNeedMore;
-      case Step::kTimesKw:
-        if (token != "times") return fail();
-        row_ = 0;
-        index_ = 0;
-        array_bad_ = false;
-        step_ = n_ == 0 ? Step::kEdgesKw : Step::kTimesVal;
-        return Status::kNeedMore;
-      case Step::kTimesVal:
-        if (!as_int(token, &value)) return fail();
-        if (value < 0) array_bad_ = true;
-        if (++index_ == n_) {
-          if (array_bad_) return fail();  // rows validate one at a time
-          index_ = 0;
-          if (++row_ == m_) step_ = Step::kEdgesKw;
-        }
-        return Status::kNeedMore;
-
-      case Step::kEdgesKw:
-        if (token != "edges") return fail();
-        step_ = Step::kEdgesK;
-        return Status::kNeedMore;
-      case Step::kEdgesK:
-        if (!as_int(token, &k_) || k_ < 0 || k_ > n_ * n_) return fail();
-        if (k_ == 0) return done();
-        index_ = 0;
-        have_u_ = false;
-        step_ = Step::kEdgeVal;
-        return Status::kNeedMore;
-      case Step::kEdgeVal:
-        if (!as_int(token, &value)) return fail();
-        if (!have_u_) {
-          edge_u_ = value;
-          have_u_ = true;
-          return Status::kNeedMore;
-        }
-        // read_edges validates each pair as it lands, so a bad edge stops
-        // consumption right here, mid-list.
-        if (edge_u_ < 0 || edge_u_ >= n_ || value < 0 || value >= n_ ||
-            edge_u_ == value) {
-          return fail();
-        }
-        have_u_ = false;
-        if (++index_ == k_) return done();
-        return Status::kNeedMore;
-
-      case Step::kDone:
-        return Status::kComplete;
-      case Step::kFailed:
-        return Status::kBad;
-    }
-    return fail();  // unreachable
-  }
-
-  Step step_ = Step::kMagic;
-  bool uniform_ = false;
-  bool array_bad_ = false;
-  bool have_u_ = false;
-  std::int64_t n_ = 0, m_ = 0, k_ = 0;
-  std::int64_t index_ = 0, row_ = 0, edge_u_ = 0;
-};
-
 }  // namespace
 
-// -------------------------------------------------------------- event loop ---
-
-struct EventLoop::Impl {
+struct EventLoop::Impl final : detail::SessionEngine {
   // epoll tags: sessions get ids >= kFirstSession so the two singleton fds
   // can share the same u64 dispatch key space.
   static constexpr std::uint64_t kListenerTag = 0;
   static constexpr std::uint64_t kWakeTag = 1;
   static constexpr std::uint64_t kFirstSession = 2;
 
-  struct Session {
-    std::uint64_t sid = 0;
+  // A session plus the socket it lives on.
+  struct Connection final : Session {
     int fd = -1;
-    std::string peer;
-
-    // Read side: the frame state machine over an incremental buffer.
-    std::string rbuf;
-    std::size_t rpos = 0;
-    enum class Mode { kLine, kBody, kDiscard } mode = Mode::kLine;
-    InstanceBodyScanner scanner;
-    std::size_t body_start = 0;  // rbuf offset where the pending body begins
-    Frame body_frame;            // `instance` header awaiting its body (and,
-                                 // in discard mode, the frame awaiting resync)
-    bool read_eof = false;
-
-    // Write side: one buffer, partial-write resume via EPOLLOUT.
-    std::string wbuf;
-    std::size_t woff = 0;
-
-    // Pipelining: pool-dispatched frames carry a session-local ticket;
-    // completions arriving out of order wait in `held` until their turn.
-    std::uint64_t next_ticket = 0;
-    std::uint64_t next_flush = 0;
-    std::map<std::uint64_t, std::string> held;
-    std::size_t inflight = 0;  // dispatched, completion not yet seen
-
-    bool authed = false;
-    bool parked = false;   // reads disabled by backpressure
-    bool closing = false;  // no more frames; drain, flush, then close
-    bool dead = false;     // peer unreachable: drop writes, await workers
     std::uint32_t armed = 0;  // epoll event mask currently registered
     bool in_epoll = false;
-    Clock::time_point last_frame;  // last COMPLETE frame (idle-timeout clock)
 
-    ~Session() {
+    ~Connection() {
       if (fd >= 0) ::close(fd);
     }
   };
@@ -353,22 +67,18 @@ struct EventLoop::Impl {
     std::string line;
   };
 
-  Server& server;
   Listener& listener;
+  const int idle_timeout_ms;
   int epfd = -1;
   int wakefd = -1;
   int reserve_fd = -1;  // closed to make room for a shedding accept on EMFILE
-  std::string peer_prefix;
   std::uint64_t next_sid = kFirstSession;
-  std::uint64_t accepted_count = 0;
-  std::unordered_map<std::uint64_t, std::unique_ptr<Session>> sessions;
+  std::unordered_map<std::uint64_t, std::unique_ptr<Connection>> sessions;
   std::deque<std::uint64_t> parked_q;
   std::size_t parked_count = 0;
-  double pipeline_peak = 0;
 
   std::mutex cq_mu;
   std::vector<Completion> cq;
-  std::size_t outstanding = 0;  // worker tasks whose completion is unseen
 
   bool accepting = true;
   bool listener_armed = false;
@@ -380,15 +90,13 @@ struct EventLoop::Impl {
   Clock::time_point last_idle_scan{};
   Clock::time_point last_shed_log{};
 
-  Impl(Server& sv, Listener& ls) : server(sv), listener(ls) {
+  Impl(SessionHandler& handler, Listener& ls, std::size_t pipeline_depth, int idle_ms)
+      : SessionEngine(handler, pipeline_depth), listener(ls), idle_timeout_ms(idle_ms) {
     epfd = ::epoll_create1(EPOLL_CLOEXEC);
     wakefd = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
     reserve_fd = ::open("/dev/null", O_RDONLY | O_CLOEXEC);
-    peer_prefix =
-        listener.endpoint().rfind("unix:", 0) == 0 ? "unix:" : "tcp:";
     if (epfd < 0 || wakefd < 0) return;
-    // The accept loop drains until EAGAIN, which needs a nonblocking
-    // listener (the poll-first blocking core never relied on blocking mode).
+    // The accept loop drains until EAGAIN, which needs a nonblocking listener.
     const int flags = ::fcntl(listener.fd(), F_GETFL, 0);
     if (flags >= 0) ::fcntl(listener.fd(), F_SETFL, flags | O_NONBLOCK);
     epoll_event ev{};
@@ -398,12 +106,14 @@ struct EventLoop::Impl {
     arm_listener();
   }
 
-  ~Impl() {
+  ~Impl() override {
     sessions.clear();
     if (reserve_fd >= 0) ::close(reserve_fd);
     if (wakefd >= 0) ::close(wakefd);
     if (epfd >= 0) ::close(epfd);
   }
+
+  static Connection& conn(Session& s) { return static_cast<Connection&>(s); }
 
   void arm_listener() {
     if (listener_armed || listener.fd() < 0) return;
@@ -421,36 +131,23 @@ struct EventLoop::Impl {
     listener_armed = false;
   }
 
-  std::size_t pipeline_cap() const {
-    return server.options_.pipeline_depth != 0 ? server.options_.pipeline_depth
-                                               : kDefaultPipelineDepth;
-  }
-
   // ----------------------------------------------------------------- parking
 
-  bool should_park(const Session& s) {
-    if (s.closing || s.dead) return false;
-    if (s.inflight >= pipeline_cap()) return true;
-    if (s.wbuf.size() - s.woff > kWriteHighWater) return true;
-    std::lock_guard<std::mutex> lock(server.mu_);
-    return server.inflight_ >= server.max_inflight_;
-  }
-
-  void park(Session& s) {
+  void park(Session& s) override {
     if (s.parked) return;
     s.parked = true;
     parked_q.push_back(s.sid);
-    server.parked_sessions_->set(static_cast<double>(++parked_count));
-    update_interest(s);
+    series_.parked_sessions->set(static_cast<double>(++parked_count));
+    update_interest(conn(s));
   }
 
-  void unpark(Session& s) {
-    s.parked = false;
-    server.parked_sessions_->set(static_cast<double>(--parked_count));
-    update_interest(s);
-    process_input(s);
-    update_interest(s);
-    maybe_finish(s);
+  void unpark(Connection& c) {
+    c.parked = false;
+    series_.parked_sessions->set(static_cast<double>(--parked_count));
+    update_interest(c);
+    process_input(c);
+    update_interest(c);
+    maybe_finish(c);
   }
 
   // FIFO unpark pass: one bounded sweep so a session that immediately
@@ -462,81 +159,77 @@ struct EventLoop::Impl {
       parked_q.pop_front();
       auto it = sessions.find(sid);
       if (it == sessions.end() || !it->second->parked) continue;  // stale
-      Session& s = *it->second;
-      if (should_park(s)) {
+      Connection& c = *it->second;
+      if (should_park(c)) {
         parked_q.push_back(sid);
         continue;
       }
-      unpark(s);
+      unpark(c);
     }
   }
 
   // ------------------------------------------------------------- epoll state
 
-  void update_interest(Session& s) {
-    if (s.dead || !s.in_epoll) return;
+  void update_interest(Connection& c) {
+    if (c.dead || !c.in_epoll) return;
     std::uint32_t want = 0;
-    if (!s.closing && !s.parked && !s.read_eof) want |= EPOLLIN;
-    if (s.woff < s.wbuf.size()) want |= EPOLLOUT;
-    if (want == s.armed) return;
+    if (!c.closing && !c.parked && !c.read_eof) want |= EPOLLIN;
+    if (c.woff < c.wbuf.size()) want |= EPOLLOUT;
+    if (want == c.armed) return;
     epoll_event ev{};
     ev.events = want;
-    ev.data.u64 = s.sid;
-    if (::epoll_ctl(epfd, EPOLL_CTL_MOD, s.fd, &ev) == 0) s.armed = want;
+    ev.data.u64 = c.sid;
+    if (::epoll_ctl(epfd, EPOLL_CTL_MOD, c.fd, &ev) == 0) c.armed = want;
   }
 
-  void mark_dead(Session& s) {
+  void mark_dead(Session& s) override {
     if (s.dead) return;
-    s.dead = true;
-    s.closing = true;
-    s.wbuf.clear();
-    s.woff = 0;
-    if (s.in_epoll) {
-      ::epoll_ctl(epfd, EPOLL_CTL_DEL, s.fd, nullptr);
-      s.in_epoll = false;
+    SessionEngine::mark_dead(s);
+    Connection& c = conn(s);
+    if (c.in_epoll) {
+      ::epoll_ctl(epfd, EPOLL_CTL_DEL, c.fd, nullptr);
+      c.in_epoll = false;
     }
   }
 
   // Destroys the session once nothing references it anymore: all dispatched
   // work completed (workers never touch sessions, but their responses must
   // land or be dropped deliberately) and the write buffer is flushed (or the
-  // peer is gone). Call only in tail position — `s` is gone afterwards.
-  void maybe_finish(Session& s) {
-    if (!s.closing && !s.dead) return;
-    if (s.inflight > 0 || !s.held.empty()) return;
-    if (!s.dead && s.woff < s.wbuf.size()) return;
-    if (s.in_epoll) {
-      ::epoll_ctl(epfd, EPOLL_CTL_DEL, s.fd, nullptr);
-      s.in_epoll = false;
+  // peer is gone). Call only in tail position — `c` is gone afterwards.
+  void maybe_finish(Connection& c) {
+    if (!c.closing && !c.dead) return;
+    if (c.info.inflight > 0 || !c.held.empty()) return;
+    if (!c.dead && c.woff < c.wbuf.size()) return;
+    if (c.in_epoll) {
+      ::epoll_ctl(epfd, EPOLL_CTL_DEL, c.fd, nullptr);
+      c.in_epoll = false;
     }
-    if (s.parked) server.parked_sessions_->set(static_cast<double>(--parked_count));
-    server.sessions_active_->add(-1);
-    sessions.erase(s.sid);  // s is dangling past this line
-    server.open_sessions_->set(static_cast<double>(sessions.size()));
+    if (c.parked) series_.parked_sessions->set(static_cast<double>(--parked_count));
+    series_.sessions_active->add(-1);
+    sessions.erase(c.sid);  // c is dangling past this line
+    series_.open_sessions->set(static_cast<double>(sessions.size()));
   }
 
   // ------------------------------------------------------------------ accept
 
   void add_session(int fd) {
-    auto session = std::make_unique<Session>();
-    Session& s = *session;
-    s.sid = next_sid++;
-    s.fd = fd;
-    s.peer = peer_prefix + std::to_string(++accepted_count);
-    s.authed = server.options_.auth_token.empty();
-    s.last_frame = Clock::now();
+    auto session = std::make_unique<Connection>();
+    Connection& c = *session;
+    c.sid = next_sid++;
+    c.fd = fd;
+    c.last_frame = Clock::now();
     epoll_event ev{};
     ev.events = EPOLLIN;
-    ev.data.u64 = s.sid;
+    ev.data.u64 = c.sid;
     if (::epoll_ctl(epfd, EPOLL_CTL_ADD, fd, &ev) != 0) {
-      return;  // session dtor closes the fd
+      return;  // the connection's dtor closes the fd
     }
-    s.in_epoll = true;
-    s.armed = EPOLLIN;
-    server.sessions_total_->inc();
-    server.sessions_active_->add(1);
-    sessions.emplace(s.sid, std::move(session));
-    server.open_sessions_->set(static_cast<double>(sessions.size()));
+    c.in_epoll = true;
+    c.armed = EPOLLIN;
+    series_.sessions_total->inc();
+    series_.sessions_active->add(1);
+    sessions.emplace(c.sid, std::move(session));
+    series_.open_sessions->set(static_cast<double>(sessions.size()));
   }
 
   void shed_and_backoff(int err) {
@@ -590,284 +283,72 @@ struct EventLoop::Impl {
 
   // ---------------------------------------------------------------- writing
 
-  void try_flush(Session& s) {
-    if (s.dead) return;
-    while (s.woff < s.wbuf.size()) {
-      const ssize_t n =
-          ::write(s.fd, s.wbuf.data() + s.woff, s.wbuf.size() - s.woff);
+  void try_flush(Connection& c) {
+    if (c.dead) return;
+    while (c.woff < c.wbuf.size()) {
+      const ssize_t n = ::write(c.fd, c.wbuf.data() + c.woff, c.wbuf.size() - c.woff);
       if (n > 0) {
-        s.woff += static_cast<std::size_t>(n);
+        c.woff += static_cast<std::size_t>(n);
         continue;
       }
       if (n < 0 && errno == EINTR) continue;
       if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-      mark_dead(s);  // EPIPE/ECONNRESET: responses are undeliverable
+      mark_dead(c);  // EPIPE/ECONNRESET: responses are undeliverable
       return;
     }
-    if (s.woff == s.wbuf.size()) {
-      s.wbuf.clear();
-      s.woff = 0;
+    if (c.woff == c.wbuf.size()) {
+      c.wbuf.clear();
+      c.woff = 0;
     }
-    update_interest(s);
+    update_interest(c);
   }
 
-  void enqueue_write(Session& s, const std::string& line) {
+  void write(Session& s, const std::string& line) override {
     if (s.dead) return;
     s.wbuf += line;
-    try_flush(s);
-  }
-
-  // ------------------------------------------------------------- dispatching
-
-  // Renders and queues a frame the blocking core would answer inline on the
-  // session thread (auth failures, over-quota, the pre-auth rejection):
-  // counted in execute_and_render before the bytes are queued, and written
-  // ahead of any still-pending solve responses — same overtaking the
-  // blocking core exhibits.
-  void inline_answer(Session& s, const Server::PendingRequest& pending) {
-    Server::RenderedResponse rendered = server.execute_and_render(pending);
-    enqueue_write(s, rendered.line);
-    if (rendered.executed) {
-      server.maybe_slow_log(rendered.response, rendered.elapsed_ms, rendered.trace);
-    }
-  }
-
-  void submit_to_pool(Session& s, Server::PendingRequest pending) {
-    const std::uint64_t ticket = s.next_ticket++;
-    ++s.inflight;
-    if (static_cast<double>(s.inflight) > pipeline_peak) {
-      pipeline_peak = static_cast<double>(s.inflight);
-      server.pipeline_peak_->set(pipeline_peak);
-    }
-    {
-      std::lock_guard<std::mutex> lock(server.mu_);
-      ++server.inflight_;
-      server.inflight_gauge_->set(static_cast<double>(server.inflight_));
-    }
-    ++outstanding;
-    const std::uint64_t sid = s.sid;
-    server.pool_->submit([this, sid, ticket, pending = std::move(pending)] {
-      Server::RenderedResponse rendered = server.execute_and_render(pending);
-      if (rendered.executed) {
-        server.maybe_slow_log(rendered.response, rendered.elapsed_ms,
-                              rendered.trace);
-      }
-      {
-        std::lock_guard<std::mutex> lock(server.mu_);
-        --server.inflight_;
-        server.inflight_gauge_->set(static_cast<double>(server.inflight_));
-      }
-      server.cv_.notify_all();
-      {
-        std::lock_guard<std::mutex> lock(cq_mu);
-        cq.push_back(Completion{sid, ticket, std::move(rendered.line)});
-      }
-      std::uint64_t one = 1;
-      [[maybe_unused]] const ssize_t n = ::write(wakefd, &one, sizeof(one));
-    });
-  }
-
-  // One complete frame — the async mirror of the blocking session loop's
-  // body (same classification order, same accounting, same gates), with
-  // "write a response" replaced by "queue bytes" and "block on admission"
-  // replaced by parking in the caller.
-  void dispatch_frame(Session& s, Frame frame) {
-    s.last_frame = Clock::now();
-    if (frame.kind == Frame::Kind::kQuit) {
-      s.closing = true;
-      return;
-    }
-    if (frame.kind == Frame::Kind::kShutdown) {
-      server.shutdown_.store(true);
-      s.closing = true;
-      return;
-    }
-
-    Server::PendingRequest pending;
-    pending.seq = server.seq_.fetch_add(1);
-    pending.req = std::move(frame.req);
-    pending.bad = std::move(frame.bad);
-    pending.stats = pending.bad.empty() && frame.kind == Frame::Kind::kStats;
-    pending.metrics = pending.bad.empty() && frame.kind == Frame::Kind::kMetrics;
-    if (pending.req.id.empty()) pending.req.id = "#" + std::to_string(pending.seq);
-
-    if (!pending.bad.empty()) {
-      server.frames_malformed_->inc();
-    } else if (pending.stats) {
-      server.frames_stats_->inc();
-    } else if (pending.metrics) {
-      server.frames_metrics_->inc();
-    } else if (frame.kind == Frame::Kind::kAuth) {
-      server.frames_auth_->inc();
-    } else {
-      server.frames_solve_->inc();
-    }
-
-    if (pending.bad.empty() && frame.kind == Frame::Kind::kAuth) {
-      if (s.authed ||
-          detail::token_equal(frame.auth_token, server.options_.auth_token)) {
-        s.authed = true;
-        return;
-      }
-      server.rejects_auth_->inc();
-      pending.bad = "auth failed: bad token";
-      inline_answer(s, pending);
-      s.closing = true;
-      return;
-    }
-    if (!s.authed) {
-      server.rejects_auth_->inc();
-      pending.bad = "auth required: present `auth TOKEN` as the first frame";
-      pending.stats = pending.metrics = false;
-      inline_answer(s, pending);
-      s.closing = true;
-      return;
-    }
-
-    if (pending.bad.empty() && !pending.stats && !pending.metrics &&
-        fault::on_solve_frame() == fault::Action::kDropConnection) {
-      mark_dead(s);  // drop-after: close with the response unsent
-      return;
-    }
-
-    if ((pending.stats || pending.metrics) && pending.bad.empty()) {
-      const std::string line =
-          pending.stats
-              ? server.stats_frame_json(pending.req.id, pending.seq, s.inflight)
-              : server.metrics_frame_json(pending.req.id, pending.seq);
-      server.responses_ok_->inc();
-      enqueue_write(s, line);
-      return;
-    }
-
-    if (pending.bad.empty() && server.options_.session_max_inflight > 0 &&
-        s.inflight >= server.options_.session_max_inflight) {
-      server.rejects_quota_->inc();
-      pending.bad = "over-quota: session already has " +
-                    std::to_string(server.options_.session_max_inflight) +
-                    " requests in flight";
-      inline_answer(s, pending);
-      return;
-    }
-
-    submit_to_pool(s, std::move(pending));
+    try_flush(conn(s));
   }
 
   // ----------------------------------------------------------------- reading
 
-  void process_input(Session& s) {
-    while (!s.closing && !s.dead) {
-      if (s.parked || should_park(s)) {
-        park(s);
-        break;
-      }
-      if (s.mode == Session::Mode::kBody) {
-        const auto status = s.scanner.feed(s.rbuf, &s.rpos, s.read_eof);
-        if (status == InstanceBodyScanner::Status::kNeedMore) break;
-        // Replay the consumed range through the real parser: io/format alone
-        // decides validity and error wording, the scanner only found the end.
-        MemBuf mem(s.rbuf.data() + s.body_start, s.rbuf.data() + s.rpos);
-        std::istream body(&mem);
-        auto parsed = std::make_shared<ParsedInstance>(parse_instance(body));
-        const bool ok = parsed->ok();
-        if (s.body_frame.bad.empty()) s.body_frame.req.parsed = std::move(parsed);
-        if (ok) {
-          s.mode = Session::Mode::kLine;
-          Frame frame = std::move(s.body_frame);
-          s.body_frame = Frame{};
-          dispatch_frame(s, std::move(frame));
-        } else {
-          // Mirror parse_frame: a malformed body discards input up to the
-          // next blank line before the frame is answered.
-          s.mode = Session::Mode::kDiscard;
-        }
-      } else if (s.mode == Session::Mode::kDiscard) {
-        bool resynced = false;
-        while (true) {
-          const auto nl = s.rbuf.find('\n', s.rpos);
-          if (nl == std::string::npos) {
-            if (!s.read_eof) break;
-            s.rpos = s.rbuf.size();  // EOF ends the discard like getline would
-            resynced = true;
-            break;
-          }
-          const std::string line = s.rbuf.substr(s.rpos, nl - s.rpos);
-          s.rpos = nl + 1;
-          if (trimmed(line).empty()) {
-            resynced = true;
-            break;
-          }
-        }
-        if (!resynced) break;
-        s.mode = Session::Mode::kLine;
-        Frame frame = std::move(s.body_frame);
-        s.body_frame = Frame{};
-        dispatch_frame(s, std::move(frame));
-      } else {
-        const auto nl = s.rbuf.find('\n', s.rpos);
-        std::string line;
-        if (nl == std::string::npos) {
-          if (!s.read_eof || s.rpos >= s.rbuf.size()) break;
-          line = s.rbuf.substr(s.rpos);  // final unterminated line
-          s.rpos = s.rbuf.size();
-        } else {
-          line = s.rbuf.substr(s.rpos, nl - s.rpos);
-          s.rpos = nl + 1;
-        }
-        const std::string text = trimmed(line);
-        if (text.empty() || text[0] == '#') continue;
-        bool needs_body = false;
-        Frame frame = classify_frame(text, &needs_body);
-        if (needs_body) {
-          s.mode = Session::Mode::kBody;
-          s.scanner = InstanceBodyScanner();
-          s.body_start = s.rpos;
-          s.body_frame = std::move(frame);
-          continue;
-        }
-        dispatch_frame(s, std::move(frame));
-      }
-    }
-    // Reclaim consumed bytes between frames. Never mid-body or mid-discard:
-    // body_start/rpos index into rbuf until the body is fully handled.
-    if (s.mode == Session::Mode::kLine && s.rpos > 0) {
-      s.rbuf.erase(0, s.rpos);
-      s.rpos = 0;
-    }
-    if (s.read_eof && !s.closing && !s.parked &&
-        s.mode == Session::Mode::kLine && s.rpos >= s.rbuf.size()) {
-      s.closing = true;  // every complete frame handled; drain and close
-    }
-  }
-
-  void read_ready(Session& s) {
-    if (s.closing || s.dead) return;
+  void read_ready(Connection& c) {
+    if (c.closing || c.dead) return;
     char buf[1 << 16];
     // Bounded burst: a firehose client yields the loop back after ~1 MiB;
     // level-triggered epoll re-delivers the rest on the next wakeup.
-    for (int burst = 0; burst < 16 && !s.read_eof; ++burst) {
-      const ssize_t n = ::read(s.fd, buf, sizeof(buf));
+    for (int burst = 0; burst < 16 && !c.read_eof; ++burst) {
+      const ssize_t n = ::read(c.fd, buf, sizeof(buf));
       if (n > 0) {
-        s.rbuf.append(buf, static_cast<std::size_t>(n));
+        c.rbuf.append(buf, static_cast<std::size_t>(n));
         if (static_cast<std::size_t>(n) < sizeof(buf)) break;
         continue;
       }
       if (n == 0) {
-        s.read_eof = true;
+        c.read_eof = true;
         break;
       }
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      mark_dead(s);
-      maybe_finish(s);
+      mark_dead(c);
+      maybe_finish(c);
       return;
     }
-    process_input(s);
-    update_interest(s);
-    maybe_finish(s);
+    process_input(c);
+    update_interest(c);
+    maybe_finish(c);
   }
 
   // ------------------------------------------------------------- completions
+
+  // Runs on a pool worker: queue the line for the loop thread and wake it.
+  void deliver(std::uint64_t sid, std::uint64_t ticket, std::string line) override {
+    {
+      std::lock_guard<std::mutex> lock(cq_mu);
+      cq.push_back(Completion{sid, ticket, std::move(line)});
+    }
+    std::uint64_t one = 1;
+    [[maybe_unused]] const ssize_t n = ::write(wakefd, &one, sizeof(one));
+  }
 
   void drain_wake() {
     std::uint64_t drained = 0;
@@ -882,21 +363,14 @@ struct EventLoop::Impl {
       batch.swap(cq);
     }
     if (batch.empty()) return;
-    for (auto& c : batch) {
-      --outstanding;
-      auto it = sessions.find(c.sid);
-      if (it == sessions.end()) continue;  // session torn down mid-solve
-      Session& s = *it->second;
-      --s.inflight;
-      s.held.emplace(c.ticket, std::move(c.line));
-      // Flush in ticket order: pipelined responses leave in request order
-      // no matter which worker finished first.
-      while (!s.held.empty() && s.held.begin()->first == s.next_flush) {
-        enqueue_write(s, s.held.begin()->second);
-        s.held.erase(s.held.begin());
-        ++s.next_flush;
-      }
-      maybe_finish(s);
+    for (auto& done : batch) {
+      // A session outlives its work (maybe_finish waits for it), so the
+      // lookup only misses after a failed loop tears everything down.
+      auto it = sessions.find(done.sid);
+      if (it == sessions.end()) continue;
+      Connection& c = *it->second;
+      complete(c, done.ticket, std::move(done.line));
+      maybe_finish(c);
     }
     try_unpark();
   }
@@ -904,21 +378,33 @@ struct EventLoop::Impl {
   // ------------------------------------------------------------------- ticks
 
   void idle_reap(Clock::time_point now) {
-    if (server.options_.idle_timeout_ms <= 0) return;
-    const auto window = std::chrono::milliseconds(server.options_.idle_timeout_ms);
+    if (idle_timeout_ms <= 0) return;
+    const auto window = std::chrono::milliseconds(idle_timeout_ms);
     std::vector<std::uint64_t> doomed;
     for (const auto& [sid, session] : sessions) {
-      const Session& s = *session;
-      if (s.closing || s.dead || s.inflight > 0) continue;
-      if (s.woff < s.wbuf.size()) continue;
-      if (now - s.last_frame >= window) doomed.push_back(sid);
+      const Connection& c = *session;
+      if (c.closing || c.dead || c.info.inflight > 0) continue;
+      if (c.woff < c.wbuf.size()) continue;
+      if (now - c.last_frame >= window) doomed.push_back(sid);
     }
     for (const std::uint64_t sid : doomed) {
       auto it = sessions.find(sid);
       if (it == sessions.end()) continue;
-      server.rejects_idle_->inc();
+      series_.rejects_idle->inc();
       mark_dead(*it->second);  // slowloris guard: close without a response
       maybe_finish(*it->second);
+    }
+  }
+
+  // Applies `fn` to every session; `fn` may destroy the one it is given.
+  template <typename Fn>
+  void for_each_session(Fn fn) {
+    std::vector<std::uint64_t> sids;
+    sids.reserve(sessions.size());
+    for (const auto& [sid, _] : sessions) sids.push_back(sid);
+    for (const std::uint64_t sid : sids) {
+      auto it = sessions.find(sid);
+      if (it != sessions.end()) fn(*it->second);
     }
   }
 
@@ -926,35 +412,26 @@ struct EventLoop::Impl {
     shutting_down = true;
     accepting = false;
     disarm_listener();
-    // Same contract as run_accept_loop's teardown: stop reading everywhere
-    // (unprocessed input is discarded, like interrupt()'s forced EOF), drain
+    // Stop reading everywhere (unprocessed input is discarded), drain
     // in-flight work, flush responses, close.
-    std::vector<std::uint64_t> sids;
-    sids.reserve(sessions.size());
-    for (const auto& [sid, _] : sessions) sids.push_back(sid);
-    for (const std::uint64_t sid : sids) {
-      auto it = sessions.find(sid);
-      if (it == sessions.end()) continue;
-      Session& s = *it->second;
-      s.closing = true;
-      s.rpos = s.rbuf.size();
-      s.mode = Session::Mode::kLine;
-      update_interest(s);
-      maybe_finish(s);
-    }
+    for_each_session([this](Connection& c) {
+      c.closing = true;
+      c.rpos = c.rbuf.size();
+      c.mode = Session::Mode::kLine;
+      update_interest(c);
+      maybe_finish(c);
+    });
     shutdown_deadline = Clock::now() + kShutdownFlushGrace;
   }
 
   int compute_timeout(Clock::time_point now) const {
     int timeout = shutting_down ? 50 : 200;
-    if (server.options_.idle_timeout_ms > 0) {
-      timeout = std::min(timeout,
-                         std::max(10, server.options_.idle_timeout_ms / 4));
+    if (idle_timeout_ms > 0) {
+      timeout = std::min(timeout, std::max(10, idle_timeout_ms / 4));
     }
     if (!listener_armed && accepting && !shutting_down) {
       const long long wait =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              accept_backoff_until - now)
+          std::chrono::duration_cast<std::chrono::milliseconds>(accept_backoff_until - now)
               .count();
       if (wait < timeout) timeout = static_cast<int>(std::max<long long>(1, wait));
     }
@@ -970,11 +447,10 @@ struct EventLoop::Impl {
     epoll_event events[128];
     while (true) {
       if (!shutting_down &&
-          (server.shutdown_requested() || g_drain.load() || listener_failed ||
-           !listener.ok())) {
+          (handler_.shutdown_requested() || g_drain.load() || listener_failed)) {
         begin_shutdown();
       }
-      if (shutting_down && sessions.empty() && outstanding == 0) break;
+      if (shutting_down && sessions.empty()) break;
 
       auto now = Clock::now();
       if (!listener_armed && accepting && !listener_failed &&
@@ -982,7 +458,7 @@ struct EventLoop::Impl {
         arm_listener();
       }
       const int n = ::epoll_wait(epfd, events, 128, compute_timeout(now));
-      server.loop_wakeups_->inc();
+      series_.loop_wakeups->inc();
       if (n < 0) {
         if (errno == EINTR) continue;  // SIGTERM lands here; checked above
         failed = true;
@@ -1000,23 +476,23 @@ struct EventLoop::Impl {
         }
         auto it = sessions.find(tag);
         if (it == sessions.end()) continue;  // destroyed earlier this batch
-        Session& s = *it->second;
+        Connection& c = *it->second;
         const std::uint32_t ev = events[i].events;
         if (ev & EPOLLERR) {
-          mark_dead(s);
-          maybe_finish(s);
+          mark_dead(c);
+          maybe_finish(c);
           continue;
         }
-        if ((ev & EPOLLHUP) && s.parked) {
+        if ((ev & EPOLLHUP) && c.parked) {
           // Peer fully gone while this session is parked: reading is off, so
           // the level-triggered HUP would otherwise spin the loop.
-          mark_dead(s);
-          maybe_finish(s);
+          mark_dead(c);
+          maybe_finish(c);
           continue;
         }
-        if (ev & EPOLLOUT) try_flush(s);
+        if (ev & EPOLLOUT) try_flush(c);
         if (sessions.find(tag) == sessions.end()) continue;
-        if (ev & (EPOLLIN | EPOLLHUP)) read_ready(s);
+        if (ev & (EPOLLIN | EPOLLHUP)) read_ready(c);
       }
       drain_completions();
 
@@ -1027,35 +503,27 @@ struct EventLoop::Impl {
       }
       if (now - last_flush >= kStoreFlushInterval) {
         last_flush = now;
-        server.warm_->flush();
+        handler_.flush();
       }
       if (shutting_down && now >= shutdown_deadline) {
         // Grace expired: drop responses a non-reading peer never collected.
-        std::vector<std::uint64_t> sids;
-        for (const auto& [sid, _] : sessions) sids.push_back(sid);
-        for (const std::uint64_t sid : sids) {
-          auto it = sessions.find(sid);
-          if (it == sessions.end()) continue;
-          mark_dead(*it->second);
-          maybe_finish(*it->second);
-        }
+        for_each_session([this](Connection& c) {
+          mark_dead(c);
+          maybe_finish(c);
+        });
         shutdown_deadline = now + kShutdownFlushGrace;
       }
     }
     // Workers capture `this` (completion queue, wakefd): never return while
     // any are still running, even on the failure path.
-    server.pool_->wait_idle();
-    {
-      std::lock_guard<std::mutex> lock(cq_mu);
-      cq.clear();
-      outstanding = 0;
-    }
+    handler_.pool().wait_idle();
     return !failed && !listener_failed;
   }
 };
 
-EventLoop::EventLoop(Server& server, Listener& listener)
-    : impl_(std::make_unique<Impl>(server, listener)) {}
+EventLoop::EventLoop(SessionHandler& handler, Listener& listener,
+                     std::size_t pipeline_depth, int idle_timeout_ms)
+    : impl_(std::make_unique<Impl>(handler, listener, pipeline_depth, idle_timeout_ms)) {}
 
 EventLoop::~EventLoop() = default;
 

@@ -1,61 +1,45 @@
-// Async serve core: one epoll readiness loop instead of a thread per client.
-//
-// The thread-per-client core (Server::session + run_accept_loop) is honest
-// but hits a wall at thousands of connections: every idle session costs a
-// stack, a blocked read, and two 64 KiB stream buffers. This loop makes a
-// session *cheap heap state* — an fd, a read buffer, a write buffer, and a
-// tiny frame state machine — so tens of thousands of open connections cost
-// megabytes, not gigabytes, and exactly one thread does all the IO:
+// The socket runner of the session engine (engine/serve/session.hpp): one
+// epoll readiness loop serves every connection of a listener, so a session
+// is cheap heap state — an fd, a read buffer, a write buffer and the frame
+// machine — and exactly one thread does all the IO:
 //
 //   epoll_wait ─┬─ listener readable  → accept4(NONBLOCK), register session
-//               ├─ session readable   → append to rbuf → frame state machine
-//               │                       (line mode | instance-body scan |
-//               │                        malformed-body discard) → dispatch
-//               ├─ completion eventfd → drain the finished-response queue,
-//               │                       flush responses in per-session seq
-//               │                       order, unpark readers
+//               ├─ session readable   → append to rbuf → frame machine
+//               │                       → handler.classify → dispatch
+//               ├─ completion eventfd → drain the finished-work queue, write
+//               │                       lines in per-session ticket order,
+//               │                       unpark readers
 //               └─ session writable   → resume a partial response write
 //
-// The solver ThreadPool stays the only real compute pool: the loop decodes a
-// frame, stamps the server-wide seq, and submits the work; the worker runs
-// Server::execute_and_render (the same path the blocking core answers
-// through, so the bytes cannot drift) and hands the rendered line back over
-// an eventfd. Because the loop never blocks on one client, a client may
-// PIPELINE requests — send many frames before reading — and responses come
-// back in send order: solve responses are reordered per session by a ticket
-// sequence; stats/metrics probes, auth errors, and over-quota refusals stay
-// inline and may overtake queued solves, exactly like the blocking core.
+// The handler's pool stays the only compute pool: the loop classifies a
+// frame and submits its work; the worker renders the line and hands it back
+// over an eventfd. Because the loop never blocks on one client, a client may
+// pipeline frames, and work lines come back in send order.
 //
-// Admission is backpressure, not a session cap: when global in-flight
-// reaches max_inflight, or one session exceeds its pipeline depth, or a
-// peer stops reading its responses, that session's reads are PARKED (its
-// EPOLLIN interest dropped, bytes left in the kernel buffer) until
-// completions drain — the TCP window does the rest. Robustness extras the
-// blocking core lacks: EMFILE/ENFILE on accept backs off and sheds via a
-// reserve fd instead of exiting, and --idle-timeout-ms reaps sessions that
-// never complete a frame (slowloris), counted as
-// bisched_serve_rejects_total{reason="idle-timeout"}.
-//
-// Everything else is surface-preserving: auth-first frames, per-session
-// quota answered inline, fault injection, slow-log, periodic warm-state
-// flush, SIGTERM drain, `quit`/`shutdown` frames. docs/serve.md walks the
-// architecture; tests/engine/serve_async_test.cpp pins old-vs-new byte
-// equality on a shared request stream.
+// Admission is backpressure, not a session cap: a parked session has its
+// EPOLLIN interest dropped and its bytes left in the kernel buffer, so the
+// TCP window does the rest. EMFILE/ENFILE on accept backs off and sheds via
+// a reserve fd instead of exiting, and a nonzero idle timeout reaps sessions
+// that complete no frame in time (slowloris), counted as
+// bisched_serve_rejects_total{reason="idle-timeout"}. The loop also calls
+// the handler's periodic flush and drains on SIGTERM. docs/serve.md walks
+// the architecture.
 #pragma once
 
+#include <cstddef>
 #include <memory>
 
 namespace bisched::engine {
 
 class Listener;
-class Server;
+class SessionHandler;
 
 class EventLoop {
  public:
-  // Serves `listener` from `server`'s pool/warm state. The listener must
-  // expose its fd (Listener::fd() >= 0); serve_listener falls back to the
-  // thread-per-client core otherwise.
-  EventLoop(Server& server, Listener& listener);
+  // Serves `listener` through `handler`. pipeline_depth 0 = 64 frames of
+  // work per session; idle_timeout_ms 0 = never reap.
+  EventLoop(SessionHandler& handler, Listener& listener, std::size_t pipeline_depth = 0,
+            int idle_timeout_ms = 0);
   ~EventLoop();
   EventLoop(const EventLoop&) = delete;
   EventLoop& operator=(const EventLoop&) = delete;

@@ -1,0 +1,570 @@
+#include "engine/serve/session.hpp"
+
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
+#include <condition_variable>
+#include <cstdlib>
+#include <istream>
+#include <memory>
+#include <mutex>
+#include <ostream>
+#include <sstream>
+#include <streambuf>
+#include <utility>
+#include <vector>
+
+#include "io/format.hpp"
+#include "util/parallel.hpp"
+
+namespace bisched::engine {
+
+namespace {
+
+using Clock = std::chrono::steady_clock;
+
+// A peer that queues responses it never reads gets its requests parked too:
+// past this many unflushed response bytes the session stops decoding frames
+// until the socket drains.
+constexpr std::size_t kWriteHighWater = std::size_t{4} << 20;
+
+// Per-session pipeline bound when the caller passes 0.
+constexpr std::size_t kDefaultPipelineDepth = 64;
+
+// Strips every character istream extraction also treats as whitespace
+// (\v and \f included), so a whitespace-only line is always classified as a
+// blank frame and can never reach split_words as an empty word list.
+std::string trimmed(const std::string& line) {
+  const auto start = line.find_first_not_of(" \t\r\v\f");
+  if (start == std::string::npos) return "";
+  const auto end = line.find_last_not_of(" \t\r\v\f");
+  return line.substr(start, end - start + 1);
+}
+
+// Splits "solve PATH [ID]" / "instance [ID]" style frames on whitespace.
+std::vector<std::string> split_words(const std::string& line) {
+  std::vector<std::string> words;
+  std::istringstream stream(line);
+  std::string word;
+  while (stream >> word) words.push_back(word);
+  return words;
+}
+
+// The auto-assigned id form `#<digits>`; client-supplied ids must not use it.
+bool is_reserved_id(const std::string& id) {
+  if (id.size() < 2 || id[0] != '#') return false;
+  return std::all_of(id.begin() + 1, id.end(), [](unsigned char c) {
+    return std::isdigit(c) != 0;
+  });
+}
+
+// Read-only streambuf over a byte range: lets the finished instance body be
+// replayed through parse_instance without copying it out of the read buffer.
+class MemBuf final : public std::streambuf {
+ public:
+  MemBuf(const char* begin, const char* end) {
+    char* b = const_cast<char*>(begin);
+    setg(b, b, const_cast<char*>(end));
+  }
+};
+
+}  // namespace
+
+Frame classify_frame(const std::string& line, bool* needs_body) {
+  Frame out;
+  *needs_body = false;
+  if (line == "quit") {
+    out.kind = Frame::Kind::kQuit;
+    return out;
+  }
+  if (line == "shutdown") {
+    out.kind = Frame::Kind::kShutdown;
+    return out;
+  }
+
+  if (line[0] == '{') {
+    std::string error;
+    std::string salvaged_id;
+    if (auto decoded = decode_request_json(line, &error, &salvaged_id)) {
+      out.req = std::move(*decoded);
+    } else {
+      out.bad = "bad request: " + error;
+      // Answer under the client's own id when the broken frame still
+      // yielded one — a client correlating strictly by its ids would
+      // otherwise never match the error to its request. (A salvaged id in
+      // the reserved form stays unused; the auto id applies.)
+      if (!is_reserved_id(salvaged_id)) out.req.id = std::move(salvaged_id);
+    }
+  } else {
+    const auto words = split_words(line);
+    if (words[0] == "solve") {
+      if (words.size() == 2 || words.size() == 3) {
+        out.req.path = words[1];
+        if (words.size() == 3) out.req.id = words[2];
+      } else {
+        out.bad = "bad request: solve takes PATH [ID] (paths with spaces "
+                  "need the JSON form)";
+      }
+    } else if (words[0] == "instance") {
+      // The native text follows the header. A header with a malformed id
+      // list still needs its body consumed, or the body's lines would be
+      // misread as frames.
+      if (words.size() == 2) out.req.id = words[1];
+      if (words.size() > 2) out.bad = "bad request: instance takes at most one id";
+      *needs_body = true;
+    } else if (words[0] == "stats") {
+      if (words.size() == 2) out.req.id = words[1];
+      if (words.size() > 2) out.bad = "bad request: stats takes at most one id";
+      out.kind = Frame::Kind::kStats;
+    } else if (words[0] == "metrics") {
+      if (words.size() == 2) out.req.id = words[1];
+      if (words.size() > 2) out.bad = "bad request: metrics takes at most one id";
+      out.kind = Frame::Kind::kMetrics;
+    } else if (words[0] == "auth") {
+      if (words.size() == 2) {
+        out.auth_token = words[1];
+      } else {
+        out.bad = "bad request: auth takes exactly one token";
+      }
+      out.kind = Frame::Kind::kAuth;
+    } else {
+      out.bad = "bad request: unrecognized frame '" + words[0] + "'";
+    }
+  }
+
+  // Client-supplied ids must stay out of the server's `#<seq>` namespace —
+  // a colliding correlation key is worse than an error response.
+  if (out.bad.empty() && is_reserved_id(out.req.id)) {
+    out.bad = "bad request: id '" + out.req.id +
+              "' uses the reserved #<digits> form (server-assigned ids)";
+    out.req.id.clear();
+  }
+  return out;
+}
+
+SessionSeries::SessionSeries(telemetry::Registry& registry)
+    : rejects_idle(&registry.counter(
+          "bisched_serve_rejects_total",
+          "Frames refused before execution (also counted as error responses)",
+          "reason=\"idle-timeout\"")),
+      sessions_total(&registry.counter("bisched_serve_sessions_total",
+                                       "Client sessions ever started")),
+      sessions_active(&registry.gauge("bisched_serve_sessions_active",
+                                      "Client sessions currently connected")),
+      inflight(&registry.gauge("bisched_serve_inflight_requests",
+                               "Requests admitted but not yet answered")),
+      open_sessions(&registry.gauge("bisched_serve_open_sessions",
+                                    "Sessions registered on the async event loop")),
+      parked_sessions(&registry.gauge("bisched_serve_parked_sessions",
+                                      "Sessions with reads parked by backpressure")),
+      pipeline_peak(&registry.gauge("bisched_serve_pipeline_depth_peak",
+                                    "Deepest per-session solve pipeline observed")),
+      loop_wakeups(&registry.counter("bisched_serve_loop_wakeups_total",
+                                     "Event loop wakeups (epoll_wait returns)")) {}
+
+namespace detail {
+
+// ------------------------------------------------------ instance body scan ---
+
+InstanceBodyScanner::Status InstanceBodyScanner::feed(const std::string& buf,
+                                                      std::size_t* pos, bool eof) {
+  while (true) {
+    if (step_ == Step::kDone) return Status::kComplete;
+    if (step_ == Step::kFailed) return Status::kBad;
+    std::size_t i = *pos;
+    while (i < buf.size() && std::isspace(static_cast<unsigned char>(buf[i]))) {
+      ++i;
+    }
+    if (i >= buf.size()) {
+      *pos = buf.size();
+      if (!eof) return Status::kNeedMore;
+      step_ = Step::kFailed;  // truncated: replay reports "end of input"
+      return Status::kBad;
+    }
+    if (buf[i] == '#') {  // comment to end of line, like io/format's Tokens
+      const auto nl = buf.find('\n', i);
+      if (nl == std::string::npos) {
+        *pos = i;
+        if (!eof) return Status::kNeedMore;
+        *pos = buf.size();
+        step_ = Step::kFailed;
+        return Status::kBad;
+      }
+      *pos = nl + 1;
+      continue;
+    }
+    std::size_t end = i;
+    while (end < buf.size() && !std::isspace(static_cast<unsigned char>(buf[end]))) {
+      ++end;
+    }
+    if (end == buf.size() && !eof) {
+      *pos = i;  // the token may still be growing
+      return Status::kNeedMore;
+    }
+    const std::string token = buf.substr(i, end - i);
+    *pos = end;
+    const Status status = on_token(token);
+    if (status != Status::kNeedMore) return status;
+  }
+}
+
+InstanceBodyScanner::Status InstanceBodyScanner::fail() {
+  step_ = Step::kFailed;
+  return Status::kBad;
+}
+
+InstanceBodyScanner::Status InstanceBodyScanner::done() {
+  step_ = Step::kDone;
+  return Status::kComplete;
+}
+
+InstanceBodyScanner::Status InstanceBodyScanner::on_token(const std::string& token) {
+  // Bounds duplicated from io/format.cpp — the scanner must range-check the
+  // counts it loops on, or a wild `edges 10^15` would make it wait forever
+  // where the parser errors out immediately.
+  constexpr std::int64_t kMaxJobs = 10'000'000;
+  constexpr std::int64_t kMaxMachines = 1'000'000;
+  const auto as_int = [&token](std::int64_t* out) {
+    errno = 0;
+    char* end = nullptr;
+    const long long value = std::strtoll(token.c_str(), &end, 10);
+    if (end == token.c_str() || *end != '\0' || errno != 0) return false;
+    *out = value;
+    return true;
+  };
+
+  std::int64_t value = 0;
+  switch (step_) {
+    case Step::kMagic:
+      if (token != "bisched") return fail();
+      step_ = Step::kKind;
+      return Status::kNeedMore;
+    case Step::kKind:
+      if (token != "uniform" && token != "unrelated") return fail();
+      uniform_ = token == "uniform";
+      step_ = Step::kVersion;
+      return Status::kNeedMore;
+    case Step::kVersion:
+      if (token != "v1") return fail();
+      step_ = Step::kJobsKw;
+      return Status::kNeedMore;
+    case Step::kJobsKw:
+      if (token != "jobs") return fail();
+      step_ = Step::kJobsN;
+      return Status::kNeedMore;
+    case Step::kJobsN:
+      if (!as_int(&n_) || n_ < 0 || n_ > kMaxJobs) return fail();
+      step_ = uniform_ ? Step::kPKw : Step::kMachinesKw;
+      return Status::kNeedMore;
+
+    case Step::kPKw:
+      if (token != "p") return fail();
+      index_ = 0;
+      array_bad_ = false;
+      step_ = n_ == 0 ? Step::kSpeedsKw : Step::kPVal;
+      return Status::kNeedMore;
+    case Step::kPVal:
+      if (!as_int(&value)) return fail();
+      if (value < 1) array_bad_ = true;  // checked after the whole array
+      if (++index_ == n_) {
+        if (array_bad_) return fail();
+        step_ = Step::kSpeedsKw;
+      }
+      return Status::kNeedMore;
+    case Step::kSpeedsKw:
+      if (token != "speeds") return fail();
+      step_ = Step::kSpeedsM;
+      return Status::kNeedMore;
+    case Step::kSpeedsM:
+      if (!as_int(&m_) || m_ < 1 || m_ > kMaxMachines) return fail();
+      index_ = 0;
+      array_bad_ = false;
+      step_ = Step::kSpeedVal;
+      return Status::kNeedMore;
+    case Step::kSpeedVal:
+      if (!as_int(&value)) return fail();
+      if (value < 1) array_bad_ = true;
+      if (++index_ == m_) {
+        if (array_bad_) return fail();
+        step_ = Step::kEdgesKw;
+      }
+      return Status::kNeedMore;
+
+    case Step::kMachinesKw:
+      if (token != "machines") return fail();
+      step_ = Step::kMachinesM;
+      return Status::kNeedMore;
+    case Step::kMachinesM:
+      if (!as_int(&m_) || m_ < 1 || m_ > kMaxMachines) return fail();
+      step_ = Step::kTimesKw;
+      return Status::kNeedMore;
+    case Step::kTimesKw:
+      if (token != "times") return fail();
+      row_ = 0;
+      index_ = 0;
+      array_bad_ = false;
+      step_ = n_ == 0 ? Step::kEdgesKw : Step::kTimesVal;
+      return Status::kNeedMore;
+    case Step::kTimesVal:
+      if (!as_int(&value)) return fail();
+      if (value < 0) array_bad_ = true;
+      if (++index_ == n_) {
+        if (array_bad_) return fail();  // rows validate one at a time
+        index_ = 0;
+        if (++row_ == m_) step_ = Step::kEdgesKw;
+      }
+      return Status::kNeedMore;
+
+    case Step::kEdgesKw:
+      if (token != "edges") return fail();
+      step_ = Step::kEdgesK;
+      return Status::kNeedMore;
+    case Step::kEdgesK:
+      if (!as_int(&k_) || k_ < 0 || k_ > n_ * n_) return fail();
+      if (k_ == 0) return done();
+      index_ = 0;
+      have_u_ = false;
+      step_ = Step::kEdgeVal;
+      return Status::kNeedMore;
+    case Step::kEdgeVal:
+      if (!as_int(&value)) return fail();
+      if (!have_u_) {
+        edge_u_ = value;
+        have_u_ = true;
+        return Status::kNeedMore;
+      }
+      // read_edges validates each pair as it lands, so a bad edge stops
+      // consumption right here, mid-list.
+      if (edge_u_ < 0 || edge_u_ >= n_ || value < 0 || value >= n_ || edge_u_ == value) {
+        return fail();
+      }
+      have_u_ = false;
+      if (++index_ == k_) return done();
+      return Status::kNeedMore;
+
+    case Step::kDone:
+      return Status::kComplete;
+    case Step::kFailed:
+      return Status::kBad;
+  }
+  return fail();  // unreachable
+}
+
+// ---------------------------------------------------------- frame machine ---
+
+SessionEngine::SessionEngine(SessionHandler& handler, std::size_t pipeline_depth)
+    : handler_(handler),
+      series_(handler.series()),
+      pipeline_cap_(pipeline_depth != 0 ? pipeline_depth : kDefaultPipelineDepth) {}
+
+bool SessionEngine::should_park(const Session& s) const {
+  if (s.closing || s.dead) return false;
+  return s.info.inflight >= pipeline_cap_ || s.wbuf.size() - s.woff > kWriteHighWater ||
+         inflight_.load() >= handler_.max_inflight();
+}
+
+void SessionEngine::mark_dead(Session& s) {
+  s.dead = true;
+  s.closing = true;
+  s.wbuf.clear();
+  s.woff = 0;
+}
+
+void SessionEngine::submit(Session& s, std::function<std::string()> work) {
+  const std::uint64_t ticket = s.next_ticket++;
+  ++s.info.inflight;
+  if (static_cast<double>(s.info.inflight) > series_.pipeline_peak->value()) {
+    series_.pipeline_peak->set(static_cast<double>(s.info.inflight));
+  }
+  inflight_.fetch_add(1);
+  series_.inflight->add(1);
+  handler_.pool().submit([this, sid = s.sid, ticket, work = std::move(work)] {
+    std::string line = work();
+    inflight_.fetch_sub(1);
+    series_.inflight->add(-1);
+    deliver(sid, ticket, std::move(line));
+  });
+}
+
+void SessionEngine::complete(Session& s, std::uint64_t ticket, std::string line) {
+  --s.info.inflight;
+  s.held.emplace(ticket, std::move(line));
+  while (!s.held.empty() && s.held.begin()->first == s.next_flush) {
+    write(s, s.held.begin()->second);
+    s.held.erase(s.held.begin());
+    ++s.next_flush;
+  }
+}
+
+void SessionEngine::dispatch_frame(Session& s, Frame frame) {
+  s.last_frame = Clock::now();
+  if (frame.kind == Frame::Kind::kQuit || frame.kind == Frame::Kind::kShutdown) {
+    if (frame.kind == Frame::Kind::kShutdown) handler_.request_shutdown();
+    s.closing = true;
+    return;
+  }
+  Dispatch dispatch = handler_.classify(std::move(frame), s.info);
+  if (dispatch.drop) {
+    mark_dead(s);
+    return;
+  }
+  if (!dispatch.line.empty()) write(s, dispatch.line);
+  if (dispatch.work) submit(s, std::move(dispatch.work));
+  if (dispatch.close) s.closing = true;
+}
+
+void SessionEngine::process_input(Session& s) {
+  while (!s.closing && !s.dead) {
+    if (s.parked || should_park(s)) {
+      park(s);
+      break;
+    }
+    if (s.mode == Session::Mode::kBody) {
+      const auto status = s.scanner.feed(s.rbuf, &s.rpos, s.read_eof);
+      if (status == InstanceBodyScanner::Status::kNeedMore) break;
+      // Replay the consumed range through the real parser: io/format alone
+      // decides validity and error wording, the scanner only found the end.
+      MemBuf mem(s.rbuf.data() + s.body_start, s.rbuf.data() + s.rpos);
+      std::istream body(&mem);
+      auto parsed = std::make_shared<ParsedInstance>(parse_instance(body));
+      const bool ok = parsed->ok();
+      if (s.body_frame.bad.empty()) s.body_frame.req.parsed = std::move(parsed);
+      if (ok) {
+        s.mode = Session::Mode::kLine;
+        dispatch_frame(s, std::exchange(s.body_frame, Frame{}));
+      } else {
+        // The parser stopped mid-body: discard input up to the next blank
+        // line (bodies contain none) before the frame is answered, so the
+        // rest of the broken body is not misread as frames.
+        s.mode = Session::Mode::kDiscard;
+      }
+    } else if (s.mode == Session::Mode::kDiscard) {
+      bool resynced = false;
+      while (true) {
+        const auto nl = s.rbuf.find('\n', s.rpos);
+        if (nl == std::string::npos) {
+          if (!s.read_eof) break;
+          s.rpos = s.rbuf.size();  // EOF ends the discard too
+          resynced = true;
+          break;
+        }
+        const std::string line = s.rbuf.substr(s.rpos, nl - s.rpos);
+        s.rpos = nl + 1;
+        if (trimmed(line).empty()) {
+          resynced = true;
+          break;
+        }
+      }
+      if (!resynced) break;
+      s.mode = Session::Mode::kLine;
+      dispatch_frame(s, std::exchange(s.body_frame, Frame{}));
+    } else {
+      const auto nl = s.rbuf.find('\n', s.rpos);
+      std::string line;
+      if (nl == std::string::npos) {
+        if (!s.read_eof || s.rpos >= s.rbuf.size()) break;
+        line = s.rbuf.substr(s.rpos);  // final unterminated line
+        s.rpos = s.rbuf.size();
+      } else {
+        line = s.rbuf.substr(s.rpos, nl - s.rpos);
+        s.rpos = nl + 1;
+      }
+      const std::string text = trimmed(line);
+      if (text.empty() || text[0] == '#') continue;
+      bool needs_body = false;
+      Frame frame = classify_frame(text, &needs_body);
+      if (needs_body) {
+        s.mode = Session::Mode::kBody;
+        s.scanner = InstanceBodyScanner();
+        s.body_start = s.rpos;
+        s.body_frame = std::move(frame);
+        continue;
+      }
+      dispatch_frame(s, std::move(frame));
+    }
+  }
+  // Reclaim consumed bytes between frames. Never mid-body or mid-discard:
+  // body_start/rpos index into rbuf until the body is fully handled.
+  if (s.mode == Session::Mode::kLine && s.rpos > 0) {
+    s.rbuf.erase(0, s.rpos);
+    s.rpos = 0;
+  }
+  if (s.read_eof && !s.closing && !s.parked && s.mode == Session::Mode::kLine &&
+      s.rpos >= s.rbuf.size()) {
+    s.closing = true;  // every complete frame handled; drain and close
+  }
+}
+
+}  // namespace detail
+
+// ------------------------------------------------------------- stream pump ---
+
+namespace {
+
+// The blocking runner: one session over borrowed streams. The caller's
+// thread reads lines and runs the frame machine; pool workers write their
+// lines as their turn comes. One mutex serializes both, so the engine sees
+// one thread at a time.
+class StreamPump final : public detail::SessionEngine {
+ public:
+  StreamPump(SessionHandler& handler, std::ostream& out, std::size_t pipeline_depth)
+      : SessionEngine(handler, pipeline_depth), out_(out) {}
+
+  void run(std::istream& in) {
+    Session& s = session_;
+    series_.sessions_total->inc();
+    series_.sessions_active->add(1);
+    std::unique_lock<std::mutex> lock(mu_);
+    std::string line;
+    while (true) {
+      process_input(s);
+      if (s.closing || s.dead || (s.read_eof && !s.parked)) break;
+      if (s.parked) {
+        cv_.wait(lock, [&] { return !should_park(s); });
+        s.parked = false;
+        continue;
+      }
+      lock.unlock();
+      const bool got = static_cast<bool>(std::getline(in, line));
+      lock.lock();
+      if (got) {
+        s.rbuf += line;
+        if (!in.eof()) s.rbuf += '\n';
+      }
+      s.read_eof = !got || in.eof();
+    }
+    cv_.wait(lock, [&] { return s.info.inflight == 0; });
+    series_.sessions_active->add(-1);
+  }
+
+ private:
+  void write(Session& s, const std::string& line) override {
+    if (s.dead) return;
+    out_ << line;
+    out_.flush();
+  }
+
+  void park(Session& s) override { s.parked = true; }
+
+  void deliver(std::uint64_t, std::uint64_t ticket, std::string line) override {
+    // Notify under the lock: run() may return, and this pump be destroyed,
+    // as soon as it sees the last completion.
+    std::lock_guard<std::mutex> lock(mu_);
+    complete(session_, ticket, std::move(line));
+    cv_.notify_all();
+  }
+
+  std::ostream& out_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  Session session_;
+};
+
+}  // namespace
+
+void serve_stream(SessionHandler& handler, std::istream& in, std::ostream& out,
+                  std::size_t pipeline_depth) {
+  StreamPump(handler, out, pipeline_depth).run(in);
+}
+
+}  // namespace bisched::engine

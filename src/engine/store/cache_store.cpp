@@ -18,6 +18,7 @@
 
 #include "engine/fault.hpp"
 #include "engine/store/codec.hpp"
+#include "util/fnv.hpp"
 
 namespace bisched::engine::store {
 
@@ -30,15 +31,6 @@ namespace {
 // separately through NamespaceConfig::schema.
 constexpr std::string_view kSnapshotMagic = "bsstsnp1";
 constexpr std::string_view kJournalMagic = "bsstjrn1";
-
-std::uint64_t fnv1a(std::string_view bytes) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (const char c : bytes) {
-    h ^= static_cast<std::uint8_t>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 // header = magic(8) + schema(u32) + flags(u64): 20 bytes.
 constexpr std::uint64_t kHeaderSize = 20;

@@ -1,7 +1,7 @@
 // Lock-cheap metrics: counters, gauges, and fixed-bucket histograms behind
 // one registry, exposed in Prometheus text format.
 //
-// The engine's hot paths (solver-pool workers, serve session threads) update
+// The engine's hot paths (solver-pool workers, the serve session engine) update
 // metrics on every request, so an update must never take a lock: Counter,
 // Gauge, and Histogram are plain atomics with relaxed ordering — an `inc` is
 // one fetch_add, a histogram `observe` is a branchless-ish bucket search plus

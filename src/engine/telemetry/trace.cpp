@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "io/jsonl.hpp"
+#include "util/fnv.hpp"
 #include "util/table.hpp"
 
 namespace bisched::engine::telemetry {
@@ -14,14 +15,11 @@ std::string next_trace_id() {
   // FNV-1a over pid + boot instant: stable within a process, distinct across
   // processes (modulo hash luck) without any cross-process coordination.
   static const std::string tag = [] {
-    std::uint64_t h = 1469598103934665603ull;
-    const auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    mix(static_cast<std::uint64_t>(::getpid()));
-    mix(static_cast<std::uint64_t>(
+    Fnv1a fnv;
+    fnv.u64(static_cast<std::uint64_t>(::getpid()));
+    fnv.u64(static_cast<std::uint64_t>(
         std::chrono::system_clock::now().time_since_epoch().count()));
+    const std::uint64_t h = fnv.value();
     char buf[16];
     std::snprintf(buf, sizeof buf, "%08llx",
                   static_cast<unsigned long long>(h & 0xffffffffull));

@@ -9,47 +9,12 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <atomic>
 #include <cerrno>
-#include <chrono>
 #include <cstring>
-#include <iostream>
 
 namespace bisched::engine {
 
 namespace {
-
-// accept() errno triage: descriptor/buffer exhaustion (EMFILE/ENFILE/
-// ENOBUFS/ENOMEM) is load, not listener death — the right move is to back
-// off and keep serving the connections we already hold, not to close the
-// listener and drop them all. Loud (but rate-limited to one line a second)
-// so an operator sees the ulimit wall instead of a silent accept stall.
-bool accept_errno_is_transient(int err, const std::string& endpoint) {
-  switch (err) {
-    case EINTR:
-    case EAGAIN:
-    case ECONNABORTED:
-      return true;
-    case EMFILE:
-    case ENFILE:
-    case ENOBUFS:
-    case ENOMEM: {
-      static std::atomic<std::int64_t> last_warn_s{-1};
-      const std::int64_t now_s =
-          std::chrono::duration_cast<std::chrono::seconds>(
-              std::chrono::steady_clock::now().time_since_epoch())
-              .count();
-      std::int64_t seen = last_warn_s.load();
-      if (seen != now_s && last_warn_s.compare_exchange_strong(seen, now_s)) {
-        std::cerr << "serve: accept on " << endpoint << " failed transiently: "
-                  << std::strerror(err) << " (shedding until fds free up)\n";
-      }
-      return true;
-    }
-    default:
-      return false;
-  }
-}
 
 // Fills a sockaddr_un; false when the path exceeds sun_path (no silent
 // truncation into some other socket).
@@ -125,8 +90,6 @@ FdTransport::~FdTransport() {
   ::close(fd_);
 }
 
-void FdTransport::interrupt() { ::shutdown(fd_, SHUT_RD); }
-
 // ------------------------------------------------------------ UnixListener ---
 
 std::unique_ptr<UnixListener> UnixListener::open(const std::string& path,
@@ -185,28 +148,6 @@ std::unique_ptr<UnixListener> UnixListener::open(const std::string& path,
 UnixListener::~UnixListener() {
   if (fd_ >= 0) ::close(fd_);
   ::unlink(path_.c_str());
-}
-
-std::unique_ptr<FdTransport> UnixListener::accept(int poll_ms) {
-  if (fd_ < 0) return nullptr;
-  pollfd pfd{fd_, POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, poll_ms);
-  if (ready <= 0) {
-    if (ready < 0 && errno != EINTR && errno != EAGAIN) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    return nullptr;
-  }
-  const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) {
-    if (!accept_errno_is_transient(errno, endpoint())) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    return nullptr;
-  }
-  return std::make_unique<FdTransport>(client, "unix:" + std::to_string(++accepted_));
 }
 
 // ------------------------------------------------------------ TcpListener ---
@@ -314,28 +255,6 @@ TcpListener::~TcpListener() {
 
 std::string TcpListener::endpoint() const {
   return "tcp:" + host_ + ":" + std::to_string(port_);
-}
-
-std::unique_ptr<FdTransport> TcpListener::accept(int poll_ms) {
-  if (fd_ < 0) return nullptr;
-  pollfd pfd{fd_, POLLIN, 0};
-  const int ready = ::poll(&pfd, 1, poll_ms);
-  if (ready <= 0) {
-    if (ready < 0 && errno != EINTR && errno != EAGAIN) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    return nullptr;
-  }
-  const int client = ::accept(fd_, nullptr, nullptr);
-  if (client < 0) {
-    if (!accept_errno_is_transient(errno, endpoint())) {
-      ::close(fd_);
-      fd_ = -1;
-    }
-    return nullptr;
-  }
-  return std::make_unique<FdTransport>(client, "tcp:" + std::to_string(++accepted_));
 }
 
 namespace {

@@ -1,31 +1,16 @@
-// Transports: how a serve session talks to one client.
+// Byte channels around the session engine (engine/serve/session.hpp).
 //
-// The serve loop used to *be* its transport — a while(getline(stdin)) with
-// responses on stdout. This module splits the byte channel out behind a tiny
-// interface (one std::istream for frames in, one std::ostream for responses
-// out), so the session logic in engine/serve is written once and runs
-// unchanged over:
-//
-//   IostreamTransport — borrowed streams: the classic stdin/stdout framed
-//                       loop, in-process tests over stringstreams, benches.
-//   FdTransport       — an owned POSIX fd (socket or pipe) grown into
-//                       streams by FdStreambuf; one per accepted client.
-//
-// Listeners share one interface (`Listener`): bind a socket, accept
-// FdTransports, poll with a short timeout so the accept loop can observe a
-// shutdown flag without signals. Two implementations:
-//
-//   UnixListener — a unix-domain socket; unix_connect is the matching
-//                  client side (CLI `client`, tests, the CI smoke).
-//   TcpListener  — an AF_INET/AF_INET6 socket for `--listen=tcp:HOST:PORT`.
-//                  There is no auth yet, so non-loopback bind addresses are
-//                  REFUSED unless the caller passes allow_remote (the CLI's
-//                  --allow-remote). tcp_connect is the client side.
-//
-// Streams were chosen over a read(buf)/write(buf) interface deliberately:
-// the native `instance` frame hands the stream to the instance parser
-// mid-session (the body follows the header directly), which only works when
-// the transport *is* an istream.
+//   Listener      — a bound socket the event loop accepts from
+//                   (engine/serve/event_loop.hpp). Two implementations:
+//     UnixListener  a unix-domain socket; unix_connect is the matching
+//                   client side (CLI `client`, tests, the CI smoke).
+//     TcpListener   an AF_INET/AF_INET6 socket for `--listen=tcp:HOST:PORT`.
+//                   Non-loopback bind addresses are REFUSED unless the
+//                   caller passes allow_remote (the CLI's --allow-remote,
+//                   which also requires an auth token).
+//   FdTransport   — the client side: an owned fd grown into blocking
+//                   streams by FdStreambuf (CLI `client`/`metrics`, sim
+//                   replays, the router's backend attempts, tests).
 #pragma once
 
 #include <cstdint>
@@ -37,41 +22,9 @@
 
 namespace bisched::engine {
 
-class Transport {
- public:
-  virtual ~Transport() = default;
-
-  virtual std::istream& in() = 0;
-  virtual std::ostream& out() = 0;
-  // Human-readable peer label for stats/log lines ("stdio", "unix:3", ...).
-  virtual const std::string& peer() const = 0;
-
-  // Unblocks a reader stuck in in() by forcing EOF, from another thread —
-  // how a server shutdown ends sessions whose clients are idle but still
-  // connected. Default: no-op (borrowed iostreams have no such lever).
-  virtual void interrupt() {}
-};
-
-// Borrows caller-owned streams; lifetime is the caller's problem.
-class IostreamTransport final : public Transport {
- public:
-  IostreamTransport(std::istream& in, std::ostream& out, std::string peer = "stdio")
-      : in_(&in), out_(&out), peer_(std::move(peer)) {}
-
-  std::istream& in() override { return *in_; }
-  std::ostream& out() override { return *out_; }
-  const std::string& peer() const override { return peer_; }
-
- private:
-  std::istream* in_;
-  std::ostream* out_;
-  std::string peer_;
-};
-
 // Duplex streambuf over one fd: buffered reads (underflow -> ::read) and
-// buffered writes (sync -> full ::write loop, EINTR-safe). The serve session
-// flushes after every response line, so a pipe/socket peer can drive the
-// conversation request-by-request.
+// buffered writes (sync -> full ::write loop, EINTR-safe). Callers flush
+// after every frame, so a peer can drive the conversation line by line.
 class FdStreambuf final : public std::streambuf {
  public:
   explicit FdStreambuf(int fd);
@@ -90,23 +43,19 @@ class FdStreambuf final : public std::streambuf {
   std::unique_ptr<char[]> out_buf_;
 };
 
-// Owns the fd: closes it on destruction (which is what ends the client's
-// read loop after a session drains).
-class FdTransport final : public Transport {
+// Owns the fd: closes it on destruction (the server sees EOF).
+class FdTransport final {
  public:
   FdTransport(int fd, std::string peer);
-  ~FdTransport() override;
+  ~FdTransport();
   FdTransport(const FdTransport&) = delete;
   FdTransport& operator=(const FdTransport&) = delete;
 
-  std::istream& in() override { return in_; }
-  std::ostream& out() override { return out_; }
-  const std::string& peer() const override { return peer_; }
-  // shutdown(SHUT_RD): a blocked read returns 0 (EOF); pending writes still
-  // flush. Safe to call from another thread while the session reads.
-  void interrupt() override;
-  // The owned fd, for callers doing raw readiness IO (the async serve core
-  // and the pipelining client). The transport still owns and closes it.
+  std::istream& in() { return in_; }
+  std::ostream& out() { return out_; }
+  // Human-readable peer label for log lines ("sim", "backend-0", ...).
+  const std::string& peer() const { return peer_; }
+  // The owned fd, for half-closes and socket options; still owned here.
   int fd() const { return fd_; }
 
  private:
@@ -117,23 +66,16 @@ class FdTransport final : public Transport {
   std::ostream out_;
 };
 
-// What a serve accept loop needs from any bound socket, regardless of
-// address family. Implementations poll so callers can observe a stop flag.
+// What the event loop needs from any bound socket, regardless of address
+// family.
 class Listener {
  public:
   virtual ~Listener() = default;
 
-  // Waits up to poll_ms for a connection. nullptr on timeout or transient
-  // error — callers loop on a stop flag. Fatal listener errors set ok() to
-  // false.
-  virtual std::unique_ptr<FdTransport> accept(int poll_ms) = 0;
-
-  virtual bool ok() const = 0;
   // The bound address in --listen spelling ("unix:PATH", "tcp:HOST:PORT").
   virtual std::string endpoint() const = 0;
-  // The listening fd for readiness-loop callers (epoll registration + raw
-  // accept); -1 when the listener cannot expose one. Ownership stays here.
-  virtual int fd() const { return -1; }
+  // The listening fd (epoll registration + accept4); ownership stays here.
+  virtual int fd() const = 0;
 };
 
 class UnixListener final : public Listener {
@@ -146,9 +88,6 @@ class UnixListener final : public Listener {
   UnixListener(const UnixListener&) = delete;
   UnixListener& operator=(const UnixListener&) = delete;
 
-  std::unique_ptr<FdTransport> accept(int poll_ms) override;
-
-  bool ok() const override { return fd_ >= 0; }
   std::string endpoint() const override { return "unix:" + path_; }
   int fd() const override { return fd_; }
   const std::string& path() const { return path_; }
@@ -158,7 +97,6 @@ class UnixListener final : public Listener {
 
   int fd_;
   std::string path_;
-  std::uint64_t accepted_ = 0;
 };
 
 class TcpListener final : public Listener {
@@ -174,9 +112,6 @@ class TcpListener final : public Listener {
   TcpListener(const TcpListener&) = delete;
   TcpListener& operator=(const TcpListener&) = delete;
 
-  std::unique_ptr<FdTransport> accept(int poll_ms) override;
-
-  bool ok() const override { return fd_ >= 0; }
   std::string endpoint() const override;
   int fd() const override { return fd_; }
   int port() const { return port_; }  // actual bound port (after port 0)
@@ -188,7 +123,6 @@ class TcpListener final : public Listener {
   int fd_;
   std::string host_;
   int port_;
-  std::uint64_t accepted_ = 0;
 };
 
 // Client side: connects to a unix-domain socket; returns the fd, or -1 with

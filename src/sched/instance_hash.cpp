@@ -1,26 +1,12 @@
 #include "sched/instance_hash.hpp"
 
+#include "util/fnv.hpp"
+
 namespace bisched {
 
 namespace {
 
-constexpr std::uint64_t kFnvOffset = 14695981039346656037ULL;
-constexpr std::uint64_t kFnvPrime = 1099511628211ULL;
-
-class Fnv1a {
- public:
-  void mix(std::uint64_t v) {
-    // Fixed little-endian byte order, independent of the host.
-    for (int b = 0; b < 8; ++b) {
-      state_ = (state_ ^ ((v >> (8 * b)) & 0xff)) * kFnvPrime;
-    }
-  }
-  void mix_signed(std::int64_t v) { mix(static_cast<std::uint64_t>(v)); }
-  std::uint64_t value() const { return state_; }
-
- private:
-  std::uint64_t state_ = kFnvOffset;
-};
+void mix_signed(Fnv1a& h, std::int64_t v) { h.u64(static_cast<std::uint64_t>(v)); }
 
 // splitmix64-style finalizer: each (min, max) edge pair gets a well-mixed
 // 64-bit value of its own.
@@ -41,36 +27,36 @@ std::uint64_t edge_hash(int u, int v) {
 // every cache lookup), combine the per-edge hashes with a commutative
 // wrapping sum — order-independent by construction, one pass, no memory.
 void mix_edges(Fnv1a& h, const Graph& g) {
-  h.mix_signed(g.num_edges());
+  mix_signed(h, g.num_edges());
   std::uint64_t acc = 0;
   for (int u = 0; u < g.num_vertices(); ++u) {
     for (int v : g.neighbors(u)) {
       if (v > u) acc += edge_hash(u, v);
     }
   }
-  h.mix(acc);
+  h.u64(acc);
 }
 
 }  // namespace
 
 std::uint64_t instance_hash(const UniformInstance& inst) {
   Fnv1a h;
-  h.mix(0x51u);  // 'Q' model tag: a uniform and an unrelated instance never collide
-  h.mix_signed(inst.num_jobs());
-  h.mix_signed(inst.num_machines());
-  for (std::int64_t pj : inst.p) h.mix_signed(pj);
-  for (std::int64_t s : inst.speeds) h.mix_signed(s);
+  h.u64(0x51u);  // 'Q' model tag: a uniform and an unrelated instance never collide
+  mix_signed(h, inst.num_jobs());
+  mix_signed(h, inst.num_machines());
+  for (std::int64_t pj : inst.p) mix_signed(h, pj);
+  for (std::int64_t s : inst.speeds) mix_signed(h, s);
   mix_edges(h, inst.conflicts);
   return h.value();
 }
 
 std::uint64_t instance_hash(const UnrelatedInstance& inst) {
   Fnv1a h;
-  h.mix(0x52u);  // 'R' model tag
-  h.mix_signed(inst.num_jobs());
-  h.mix_signed(inst.num_machines());
+  h.u64(0x52u);  // 'R' model tag
+  mix_signed(h, inst.num_jobs());
+  mix_signed(h, inst.num_machines());
   for (const auto& row : inst.times) {
-    for (std::int64_t t : row) h.mix_signed(t);
+    for (std::int64_t t : row) mix_signed(h, t);
   }
   mix_edges(h, inst.conflicts);
   return h.value();

@@ -1,17 +1,21 @@
 // Fleet tests: the routing primitives (hash ring, health tracker), the
-// fault-injection spec parser, and the acceptance path — a subprocess
+// fault-injection spec parser, and the acceptance paths — a subprocess
 // `bisched_cli route` over two supervised backends with BISCHED_FAULT
 // crashing one mid-batch, where every client request must still be answered
 // (retried/failed-over invisibly) and the responses must match a
-// single-backend run byte-for-byte modulo placement provenance.
+// single-backend run byte-for-byte modulo placement provenance; a backend
+// SIGKILLed mid-stream costing no client-visible error; and pipelined
+// responses coming back from the router in send order.
 #include "engine/fleet/hash_ring.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sys/socket.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
+#include <csignal>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -19,10 +23,13 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/fault.hpp"
 #include "engine/fleet/health.hpp"
+#include "engine/fleet/router.hpp"
+#include "engine/transport.hpp"
 #include "io/format.hpp"
 #include "sched/instance_hash.hpp"
 #include "testing_util.hpp"
@@ -187,10 +194,10 @@ struct RouteRun {
   int exit_code = -1;
 };
 
-// Runs `bisched_cli route <args>` with `input` on stdin, `fault` (when
-// non-null) as BISCHED_FAULT in the child only, and returns its stdout.
-RouteRun run_route(const std::vector<std::string>& args, const char* fault,
-                   const std::string& input) {
+// Runs `bisched_cli <args>` with `input` on stdin, `fault` (when non-null)
+// as BISCHED_FAULT in the child only, and returns its stdout.
+RouteRun run_cli(const std::vector<std::string>& args, const char* fault,
+                 const std::string& input) {
   RouteRun run;
   int to_child[2] = {-1, -1};
   int from_child[2] = {-1, -1};
@@ -211,7 +218,6 @@ RouteRun run_route(const std::vector<std::string>& args, const char* fault,
     }
     std::vector<char*> argv;
     argv.push_back(const_cast<char*>(BISCHED_CLI_PATH));
-    argv.push_back(const_cast<char*>("route"));
     for (const std::string& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
     argv.push_back(nullptr);
     ::execv(BISCHED_CLI_PATH, argv.data());
@@ -236,6 +242,12 @@ RouteRun run_route(const std::vector<std::string>& args, const char* fault,
   ::waitpid(pid, &status, 0);
   run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
   return run;
+}
+
+RouteRun run_route(std::vector<std::string> args, const char* fault,
+                   const std::string& input) {
+  args.insert(args.begin(), "route");
+  return run_cli(args, fault, input);
 }
 
 std::map<std::string, std::string> lines_by_id(const std::string& out) {
@@ -373,6 +385,137 @@ TEST(FleetCli, CrashMidBatchFailsOverInvisiblyAndMatchesSingleBackendRun) {
         << key;
   }
 
+  fs::remove_all(dir);
+}
+
+// `count` distinct small instances homed on `backend` of a two-backend ring.
+std::vector<UniformInstance> homed_instances(std::size_t backend, int count, Rng& rng) {
+  const HashRing ring(2);
+  std::vector<UniformInstance> out;
+  while (static_cast<int>(out.size()) < count) {
+    auto inst = testing::random_uniform_instance(4, 4, 2, 3, 3, rng);
+    if (ring.owner(instance_hash(inst)) == backend) out.push_back(std::move(inst));
+  }
+  return out;
+}
+
+engine::fleet::RouterOptions two_backend_options() {
+  engine::fleet::RouterOptions options;
+  options.fleet = 2;
+  options.cli_path = BISCHED_CLI_PATH;
+  options.serve_args = {"--stable"};
+  options.deadline_ms = 60000;
+  return options;
+}
+
+// A backend SIGKILLed between two halves of one client stream: the second
+// half, homed on the dead backend, is retried or failed over, and the
+// client sees no error at all.
+TEST(FleetKill, SigkillOfABackendMidStreamCostsNoClientErrors) {
+  Rng rng(78);
+  const auto before = homed_instances(1, 2, rng);
+  const auto after = homed_instances(0, 4, rng);
+
+  std::string error;
+  engine::fleet::Router router(two_backend_options(), &error);
+  ASSERT_TRUE(router.ok()) << error;
+
+  int to_router[2] = {-1, -1};
+  int from_router[2] = {-1, -1};
+  ASSERT_EQ(::pipe(to_router), 0);
+  ASSERT_EQ(::pipe(from_router), 0);
+  std::thread session([&] {
+    engine::FdTransport in(to_router[0], "stdin");
+    engine::FdTransport out(from_router[1], "stdout");
+    engine::serve_stream(router, in.in(), out.out());
+  });
+  engine::FdTransport client(to_router[1], "client");
+  engine::FdTransport responses(from_router[0], "responses");
+
+  const auto send = [&](const std::string& id, const UniformInstance& inst) {
+    client.out() << "instance " << id << "\n";
+    write_instance(client.out(), inst);
+    client.out().flush();
+  };
+  std::vector<std::string> lines;
+  const auto read_line = [&] {
+    std::string line;
+    if (std::getline(responses.in(), line)) lines.push_back(line);
+  };
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    send("before-" + std::to_string(i), before[i]);
+    read_line();
+  }
+  const pid_t victim = router.supervisor().pid(0);
+  ASSERT_GT(victim, 0);
+  ASSERT_EQ(::kill(victim, SIGKILL), 0);
+  for (std::size_t i = 0; i < after.size(); ++i) {
+    send("after-" + std::to_string(i), after[i]);
+  }
+  client.out() << "quit\n";
+  client.out().flush();
+  for (std::size_t i = 0; i < after.size(); ++i) read_line();
+  session.join();
+
+  ASSERT_EQ(lines.size(), before.size() + after.size());
+  for (const std::string& line : lines) {
+    EXPECT_NE(line.find("\"status\": \"ok\""), std::string::npos) << line;
+  }
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats.degraded, 0u);
+  EXPECT_GT(stats.retries + stats.failovers, 0u) << "the kill never cost a detour";
+}
+
+// Pipelined through a routing listener, a slow solve followed by three
+// fast ones: the fast ones finish first on the backends, and the router
+// must still answer in send order (`client --pipeline` exits 1 otherwise).
+TEST(FleetCli, PipelinedResponsesComeBackInSendOrder) {
+  const auto dir = fs::temp_directory_path() / "bisched_fleet_order";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const RouteRun slow =
+      run_cli({"gen", "gilbert", "--n=30", "--a=2", "--m=3", "--seed=3"}, nullptr, "");
+  ASSERT_EQ(slow.exit_code, 0);
+  std::ofstream((dir / "slow.inst").string()) << slow.out;
+  std::ostringstream frames;
+  frames << "solve " << (dir / "slow.inst").string() << " slow\n";
+  Rng rng(79);
+  for (int i = 1; i <= 3; ++i) {
+    const std::string path = (dir / ("fast" + std::to_string(i) + ".inst")).string();
+    std::ofstream file(path);
+    write_instance(file, testing::random_uniform_instance(4, 4, 2, 3, 3, rng));
+    frames << "solve " << path << " fast" << i << "\n";
+  }
+
+  std::string error;
+  auto listener = engine::UnixListener::open((dir / "route.sock").string(), &error);
+  ASSERT_NE(listener, nullptr) << error;
+  std::thread router([&] {
+    engine::fleet::route_listener(two_backend_options(), *listener, &error);
+  });
+  const RouteRun client =
+      run_cli({"client", "--connect=unix:" + listener->path(), "--pipeline=4"}, nullptr,
+              frames.str());
+  const int bye = engine::unix_connect(listener->path(), &error);
+  if (bye >= 0) {
+    EXPECT_EQ(::write(bye, "shutdown\n", 9), 9);
+    ::close(bye);
+  }
+  router.join();
+  EXPECT_TRUE(error.empty()) << error;
+
+  EXPECT_EQ(client.exit_code, 0) << client.out;
+  std::vector<std::string> ids;
+  std::istringstream lines(client.out);
+  for (std::string line; std::getline(lines, line);) {
+    EXPECT_NE(line.find("\"status\": \"ok\""), std::string::npos) << line;
+    const auto at = line.find("\"id\": \"");
+    if (at == std::string::npos) continue;
+    ids.push_back(line.substr(at + 7, line.find('"', at + 7) - at - 7));
+  }
+  EXPECT_EQ(ids, (std::vector<std::string>{"slow", "fast1", "fast2", "fast3"}));
+  listener.reset();
   fs::remove_all(dir);
 }
 

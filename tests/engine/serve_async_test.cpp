@@ -1,10 +1,9 @@
-// Async serve core tests: the epoll readiness loop (engine/serve/event_loop)
-// against the contracts the thread-per-client core set — byte-identical
-// responses on the same frame stream (the differential test), pipelined
-// responses in send order, incremental frame parsing under a slow writer,
-// parked-reads backpressure, idle-timeout reaping, and a many-idle-sessions
-// smoke at a scale the blocking core's thread-per-connection model would
-// choke on.
+// Event-loop serve tests (engine/serve/event_loop): pipelined responses in
+// send order (and the same order from stdio serve), incremental frame
+// parsing under a slow writer, parked-reads backpressure, idle-timeout
+// reaping, and a many-idle-sessions smoke. Byte-exact output on a shared
+// frame stream is pinned by the golden transcripts
+// (session_golden_test.cpp).
 #include <chrono>
 #include "engine/serve.hpp"
 
@@ -24,6 +23,8 @@
 #include "engine/fault.hpp"
 #include "engine/transport.hpp"
 #include "io/format.hpp"
+#include "random/generators.hpp"
+#include "random/gilbert.hpp"
 #include "testing_util.hpp"
 #include "util/prng.hpp"
 
@@ -114,68 +115,6 @@ std::pair<std::string, engine::ServeStats> one_shot_session(
 }
 
 // ---------------------------------------------------------------------------
-// The differential test: the same frame stream — solves in every form, a
-// malformed frame, a malformed body with resync, a reserved id — through the
-// thread-per-client core and the epoll core must produce byte-identical
-// responses (threads=1 keeps seq assignment deterministic, --stable strips
-// timing; both servers start from a fresh private warm state).
-
-TEST(ServeAsync, ByteIdenticalWithTheBlockingCoreOnTheSameStream) {
-  Rng rng(61);
-  const auto inst = testing::random_uniform_instance(5, 5, 2, 4, 3, rng);
-  const std::string text = instance_text(inst);
-  std::string json_text;
-  for (char c : text) {
-    if (c == '\n') {
-      json_text += "\\n";
-    } else {
-      json_text += c;
-    }
-  }
-
-  std::ostringstream stream;
-  stream << "# comment, then a blank line\n\n";
-  stream << "instance native-1\n" << text;
-  stream << "{\"id\": \"inline-json\", \"instance\": \"" << json_text << "\"}\n";
-  stream << "bogus frame\n";
-  stream << "instance broken\n"
-         << "bisched uniform v1\njobs 3\np 1 2 3\nspeds 2\n2 1\nedges 0\n"
-         << "\n";  // resync point after the malformed body
-  stream << "instance native-2\n" << text;  // cache hit, same either way
-  stream << "solve /nonexistent.inst missing\n";
-  stream << "{\"id\": \"#7\", \"path\": \"x\"}\n";  // reserved id form
-  stream << "quit\n";
-
-  ServeOptions options;
-  options.threads = 1;
-  options.stable_output = true;
-
-  ServeOptions async = options;
-  async.core = ServeOptions::Core::kAsync;
-  ServeOptions threads = options;
-  threads.core = ServeOptions::Core::kThreads;
-
-  const auto [async_out, async_stats] =
-      one_shot_session(stream.str(), async, "diff_async");
-  const auto [threads_out, threads_stats] =
-      one_shot_session(stream.str(), threads, "diff_threads");
-
-  EXPECT_EQ(async_out, threads_out);
-  EXPECT_FALSE(async_out.empty());
-  EXPECT_EQ(async_stats.requests, threads_stats.requests);
-  EXPECT_EQ(async_stats.ok, threads_stats.ok);
-  EXPECT_EQ(async_stats.errors, threads_stats.errors);
-  EXPECT_EQ(async_stats.malformed, threads_stats.malformed);
-  // Spot-check the shared surface, not just the equality.
-  EXPECT_NE(async_out.find("\"id\": \"native-1\""), std::string::npos) << async_out;
-  EXPECT_NE(async_out.find("\"id\": \"inline-json\""), std::string::npos);
-  EXPECT_NE(async_out.find("unrecognized frame"), std::string::npos);
-  EXPECT_NE(async_out.find("parse error"), std::string::npos);
-  EXPECT_NE(async_out.find("\"cache\": \"hit-memory\""), std::string::npos);
-  EXPECT_NE(async_out.find("reserved #<digits> form"), std::string::npos);
-}
-
-// ---------------------------------------------------------------------------
 // Pipelining: many frames written in ONE burst before any response is read.
 // The pool (threads > 1) may finish them out of order; the wire must still
 // carry responses in send order, per session.
@@ -207,6 +146,33 @@ TEST(ServeAsync, PipelinedResponsesComeBackInSendOrder) {
     const std::string id = "\"id\": \"order-" + std::to_string(i) + "\"";
     EXPECT_NE(lines[static_cast<std::size_t>(i)].find(id), std::string::npos)
         << "position " << i << " got: " << lines[static_cast<std::size_t>(i)];
+  }
+
+  // Stdio serve keeps send order too. Its leader is the instance
+  // `bisched_cli gen gilbert --n=30 --a=2 --m=3 --seed=3` writes (auto spends
+  // hundreds of ms on it), then three small followers that finish first.
+  Rng gen_rng(3);
+  Graph g = gilbert_bipartite(30, 2.0 / 30, gen_rng);
+  std::vector<std::int64_t> speeds(3);
+  for (auto& s : speeds) s = gen_rng.uniform_int(1, 8);
+  const auto slow =
+      make_uniform_instance(unit_weights(60), std::move(speeds), std::move(g));
+  std::ostringstream stdio_stream;
+  stdio_stream << "instance slow\n" << instance_text(slow);
+  for (int i = 1; i <= 3; ++i) {
+    stdio_stream << "instance small-" << i << "\n" << instance_text(small);
+  }
+  std::istringstream in(stdio_stream.str());
+  std::ostringstream stdio_out;
+  const auto stdio_stats = engine::serve(SolverRegistry::builtin(), in, stdio_out, options);
+  EXPECT_EQ(stdio_stats.ok, 4u);
+  const auto stdio_lines = lines_of(stdio_out.str());
+  ASSERT_EQ(stdio_lines.size(), 4u) << stdio_out.str();
+  for (int i = 0; i < 4; ++i) {
+    const std::string id = i == 0 ? "slow" : "small-" + std::to_string(i);
+    EXPECT_NE(stdio_lines[static_cast<std::size_t>(i)].find("\"id\": \"" + id + "\""),
+              std::string::npos)
+        << "position " << i << " got: " << stdio_lines[static_cast<std::size_t>(i)];
   }
 }
 
@@ -275,7 +241,7 @@ TEST(ServeAsync, SlowWriterDoesNotBlockOtherSessionsOrBreakFraming) {
 }
 
 // ---------------------------------------------------------------------------
-// The auth gate over the async core: pre-auth frames get one error line and
+// The auth gate over the event loop: pre-auth frames get one error line and
 // a closed session; the right token admits silently.
 
 TEST(ServeAsync, AuthGateHoldsOverTheEventLoop) {
@@ -447,8 +413,8 @@ TEST(ServeAsync, ThousandIdleSessionsDoNotStallAnActiveOne) {
 // ---------------------------------------------------------------------------
 // Backpressure: with pipeline_depth=2 and stalled workers, a burst of frames
 // is parked rather than refused — every frame is eventually answered, unlike
-// the session_max_inflight quota path (which refuses inline; that behavior
-// is pinned by the blocking-core quota test and shared via dispatch).
+// the session_max_inflight quota path (which refuses inline; ServeQuota pins
+// that).
 
 TEST(ServeAsync, PipelineDepthParksReadsInsteadOfRefusing) {
   Rng rng(67);

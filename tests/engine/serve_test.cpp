@@ -303,9 +303,8 @@ TEST(Serve, StatsFrameIsAnsweredInlineAndValidated) {
 }
 
 // ---------------------------------------------------------------------------
-// Unix-socket transport: one in-process Server, a listener thread, and two
-// concurrent raw-socket clients — the multi-client proof the Transport
-// abstraction exists for.
+// Unix-socket listener: one in-process Server, a listener thread, and two
+// concurrent raw-socket clients sharing its warm state.
 
 TEST(ServeUnix, TwoConcurrentClientsShareOneResidentServer) {
   Rng rng(46);

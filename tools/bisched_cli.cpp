@@ -27,10 +27,12 @@
 //
 // Instances are read from the given file or stdin ('-'); schedules are
 // written to stdout in the bisched schedule format, with a summary on
-// stderr. Malformed flag values are reported, never silently parsed as 0.
+// stderr. Malformed flag values are reported, never silently parsed as 0,
+// and a flag the subcommand does not read exits 2.
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <charconv>
 #include <csignal>
 #include <cstdlib>
@@ -41,6 +43,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -83,11 +86,9 @@ int usage() {
       "              [--eps=E] [--stable] [--store=DIR] [--allow-remote]\n"
       "              [--auth-token=T] [--session-max-inflight=K]\n"
       "              [--slow-ms=MS] (log solves slower than MS to stderr)\n"
-      "              [--serve-core=async|threads] (socket session engine;\n"
-      "               default async = epoll readiness loop, see docs/serve.md)\n"
-      "              [--idle-timeout-ms=MS] (async: reap sessions idle > MS)\n"
-      "              [--pipeline-depth=K] (async: park reads past K in-flight\n"
-      "               frames per session; default 64)\n"
+      "              [--idle-timeout-ms=MS] (sockets: reap sessions idle > MS)\n"
+      "              [--pipeline-depth=K] (park reads past K in-flight frames\n"
+      "               per session; default 64)\n"
       "              [--listen=unix:PATH | --listen=tcp:HOST:PORT]\n"
       "              (framed requests on stdin or the socket; see docs/api.md;\n"
       "               --allow-remote requires an auth token, also readable\n"
@@ -524,16 +525,6 @@ int cmd_serve(int argc, char** argv) {
                "a count in [0, 2^20]");
   }
   options.session_max_inflight = static_cast<std::size_t>(session_quota);
-  std::string core;
-  if (flag_value(argc, argv, "serve-core", &core)) {
-    if (core == "async") {
-      options.core = engine::ServeOptions::Core::kAsync;
-    } else if (core == "threads") {
-      options.core = engine::ServeOptions::Core::kThreads;
-    } else {
-      flag_error("serve-core", core, "async or threads");
-    }
-  }
   const std::int64_t idle_ms = flag_int(argc, argv, "idle-timeout-ms", 0);
   if (idle_ms < 0 || idle_ms > 86400000) {
     flag_error("idle-timeout-ms", std::to_string(idle_ms), "ms in [0, 86400000]");
@@ -1297,21 +1288,62 @@ int cmd_eval(int argc, char** argv) {
   return 0;
 }
 
+// ---------------------------------------------------------------- commands ---
+
+// Each subcommand with the flags it reads. Any other `--flag` is a typo (or a
+// retired option) and exits 2 before the command runs, never silently
+// ignored.
+struct Command {
+  std::string_view name;
+  int (*run)(int argc, char** argv);
+  std::vector<std::string_view> flags;
+};
+
+const std::vector<Command>& commands() {
+  static const std::vector<Command> table = {
+      {"solve", cmd_solve,
+       {"alg", "all", "budget-ms", "eps", "json", "spans", "stable", "store"}},
+      {"batch", cmd_batch,
+       {"alg", "all", "budget-ms", "dir", "eps", "format", "manifest", "out", "shard",
+        "stable", "store", "threads"}},
+      {"serve", cmd_serve,
+       {"alg", "allow-remote", "auth-token", "eps", "idle-timeout-ms", "listen",
+        "max-inflight", "pipeline-depth", "session-max-inflight", "slow-ms", "stable",
+        "store", "threads"}},
+      {"route", cmd_route,
+       {"alg", "deadline-ms", "eps", "fleet", "health-ms", "listen", "max-inflight",
+        "route-threads", "stable", "store", "threads", "timeout-ms"}},
+      {"client", cmd_client, {"auth-token", "connect", "pipeline", "timeout-ms"}},
+      {"metrics", cmd_metrics, {"connect", "timeout-ms"}},
+      {"sim", cmd_sim,
+       {"alg", "auth-token", "connect", "connections", "eps", "html-out", "json-out",
+        "max-attempts", "out", "scenario", "seed", "sla-ms", "stable", "store",
+        "timeout-ms", "trace-in", "trace-out"}},
+      {"stats", cmd_stats, {"store"}},
+      {"list-algs", cmd_list_algs, {"json"}},
+      {"gen", cmd_gen, {"a", "edges", "m", "n", "seed", "smax", "tmax", "wmax"}},
+      {"eval", cmd_eval, {}},
+  };
+  return table;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return usage();
-  const std::string command = argv[1];
-  if (command == "solve") return cmd_solve(argc, argv);
-  if (command == "batch") return cmd_batch(argc, argv);
-  if (command == "serve") return cmd_serve(argc, argv);
-  if (command == "route") return cmd_route(argc, argv);
-  if (command == "client") return cmd_client(argc, argv);
-  if (command == "metrics") return cmd_metrics(argc, argv);
-  if (command == "sim") return cmd_sim(argc, argv);
-  if (command == "stats") return cmd_stats(argc, argv);
-  if (command == "list-algs") return cmd_list_algs(argc, argv);
-  if (command == "gen") return cmd_gen(argc, argv);
-  if (command == "eval") return cmd_eval(argc, argv);
+  for (const Command& command : commands()) {
+    if (command.name != argv[1]) continue;
+    for (int i = 2; i < argc; ++i) {
+      const std::string_view arg = argv[i];
+      if (arg.rfind("--", 0) != 0) continue;
+      const std::string_view name = arg.substr(2, arg.find('=') - 2);
+      if (std::find(command.flags.begin(), command.flags.end(), name) ==
+          command.flags.end()) {
+        std::cerr << "unknown flag --" << name << " for `" << command.name << "`\n";
+        return 2;
+      }
+    }
+    return command.run(argc, argv);
+  }
   return usage();
 }

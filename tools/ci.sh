@@ -10,8 +10,8 @@
 # fault-injected crash — zero client-visible errors, nonzero retry counter
 # in the scrape), the graph-class lattice via `list-algs --json`, the SIMD
 # dispatch layer (a BISCHED_SIMD=scalar solve byte-diffed against default
-# dispatch), the hot-path + store + fleet benches' JSON reports end to
-# end with the sanitized binaries, and the epoll serve core (a 64-connection
+# dispatch), the hot-path + store benches' JSON reports end to end with
+# the sanitized binaries, and the epoll serve core (a 64-connection
 # sim replay over TCP with zero errors, a pipelined client answered in send
 # order, and the event-loop gauges in the scrape).
 # Single-threaded where it matters: the CI runner has one CPU.
@@ -435,38 +435,6 @@ grep -q '"p95_ms"' "$STORE_JSON" || {
   cat "$STORE_JSON" >&2
   exit 1
 }
-# ---------------------------------------------------- fleet bench smoke ---
-# The fleet bench spawns real backends and SIGKILLs one mid-stream; its CI
-# shape must emit BENCH_fleet.json whose kill row completed with zero
-# client-visible errors. (Retry counts in that row are timing-dependent —
-# the deterministic retry assertion is the fleet smoke above.)
-FLEET_JSON="$SMOKE/BENCH_fleet.json"
-build-ci/bench/bench_fleet --quick --json-out="$FLEET_JSON" \
-  > "$SMOKE/fleet-bench.out" 2>&1 || {
-  echo "ci.sh: fleet bench smoke failed: bench_fleet exited nonzero" >&2
-  cat "$SMOKE/fleet-bench.out" >&2
-  exit 1
-}
-if command -v python3 > /dev/null 2>&1; then
-  python3 -m json.tool "$FLEET_JSON" > /dev/null || {
-    echo "ci.sh: fleet bench smoke failed: $FLEET_JSON is not valid JSON" >&2
-    cat "$FLEET_JSON" >&2
-    exit 1
-  }
-fi
-for case_name in cold_1 warm_fleet kill_mid_stream; do
-  grep -q "\"bench_case\": \"$case_name\"" "$FLEET_JSON" || {
-    echo "ci.sh: fleet bench smoke failed: $FLEET_JSON has no $case_name row" >&2
-    cat "$FLEET_JSON" >&2
-    exit 1
-  }
-done
-grep -q '"bench_case": "kill_mid_stream".*"errors": 0' "$FLEET_JSON" || {
-  echo "ci.sh: fleet bench smoke failed: kill row saw client-visible errors" >&2
-  cat "$FLEET_JSON" >&2
-  exit 1
-}
-
 # ------------------------------------------------------------ sim smoke ---
 # The scenario simulator end to end (docs/sim.md). In-process first: the
 # same 2-phase scenario expanded and replayed twice with --connections=1
@@ -616,10 +584,8 @@ grep -q 'bench-history: 2 recorded runs' "$SMOKE/stats.out" \
 # The epoll serve core (docs/serve.md) under real concurrency: one async
 # TCP server replays the saved sim trace over 64 concurrent connections
 # with zero errors, answers a pipelined client in send order, and exposes
-# the event-loop gauges in its scrape. (--serve-core=async is the socket
-# default; it is spelled out here so this smoke keeps covering the epoll
-# core even if that default ever changes.)
-"$CLI" serve --listen=tcp:127.0.0.1:0 --serve-core=async --threads=1 --stable \
+# the event-loop gauges in its scrape.
+"$CLI" serve --listen=tcp:127.0.0.1:0 --threads=1 --stable \
   > "$SMOKE/async-server.out" 2> "$SMOKE/async-server.log" &
 SERVER_PID=$!
 tries=0
