@@ -293,9 +293,8 @@ SolveResponse run_request(const SolverRegistry& registry, WarmState& warm,
   } else if (req.parsed != nullptr) {
     r = run_parsed(registry, warm, alg, options, *req.parsed, full, &trace->root());
   } else if (req.has_inline_text) {
-    std::istringstream text(req.inline_text);
     telemetry::TraceSpan* parse_span = trace->root().child("parse");
-    ParsedInstance parsed = parse_instance(text);
+    ParsedInstance parsed = parse_instance(req.inline_text);
     parse_span->end();
     r = run_parsed(registry, warm, alg, options, parsed, full, &trace->root());
   } else if (!req.path.empty()) {

@@ -39,12 +39,6 @@ bool key_from_parsed(const ParsedInstance& parsed, std::uint64_t* key) {
   return true;
 }
 
-bool key_from_text(const std::string& text, std::uint64_t* key) {
-  std::istringstream in(text);
-  const ParsedInstance parsed = parse_instance(in);
-  return key_from_parsed(parsed, key);
-}
-
 // Splices the router's admission seq over the backend's in a finished
 // response line. The literal `"seq": ` cannot occur inside a JSON string
 // value (json_quote escapes the embedded quote), so the first match is the
@@ -292,7 +286,9 @@ std::string Router::route_one(const SolveRequest& req, std::int64_t seq) {
   } else if (req.has_inline_text) {
     // Unparseable sources key by FNV-1a of the raw string: the backend owns
     // the canonical error, the router only needs *a* deterministic placement.
-    if (!key_from_text(req.inline_text, &key)) key = fnv1a(req.inline_text);
+    if (!key_from_parsed(parse_instance(req.inline_text), &key)) {
+      key = fnv1a(req.inline_text);
+    }
   } else if (!req.path.empty()) {
     bool keyed = false;
     std::ifstream file(req.path);

@@ -215,8 +215,10 @@ Dispatch Server::classify(Frame frame, SessionInfo& session) {
   // frame counts itself: a stats frame admitted as seq N reports N+1
   // requests). Malformed means rejected at the protocol layer — a
   // well-formed frame whose solve fails still counts as a solve frame (its
-  // failure shows up in the response status counters instead).
-  if (!bad.empty()) {
+  // failure shows up in the response status counters instead). A `shutdown`
+  // only gets here from a session that may not send it: refused by the
+  // gate below, it counts as malformed.
+  if (!bad.empty() || frame.kind == Frame::Kind::kShutdown) {
     frames_malformed_->inc();
   } else if (frame.kind == Frame::Kind::kStats) {
     frames_stats_->inc();
@@ -232,10 +234,9 @@ Dispatch Server::classify(Frame frame, SessionInfo& session) {
   // next frame's response is the ack — no response traffic to time); a bad
   // token or any pre-auth frame is answered with an error and the session
   // closes, so an unauthenticated peer gets exactly one line out of us.
-  const bool open = options_.auth_token.empty();
   Dispatch dispatch;
   if (bad.empty() && frame.kind == Frame::Kind::kAuth) {
-    if (open || session.authed || token_equal(frame.auth_token, options_.auth_token)) {
+    if (authorized(session) || token_equal(frame.auth_token, options_.auth_token)) {
       session.authed = true;  // re-auth / auth without a configured token: ignored
       return dispatch;
     }
@@ -244,7 +245,7 @@ Dispatch Server::classify(Frame frame, SessionInfo& session) {
     dispatch.close = true;
     return dispatch;
   }
-  if (!open && !session.authed) {
+  if (!authorized(session)) {
     rejects_auth_->inc();
     dispatch.line =
         render(req, seq, "auth required: present `auth TOKEN` as the first frame");

@@ -59,14 +59,15 @@
 //   shutdown                                 end this session AND stop the
 //                                            listener; serve_listener
 //                                            returns once active sessions
-//                                            drain
+//                                            drain. Before auth it is
+//                                            refused like any other frame
 //
 // JSON requests may override "alg", "eps", "all", and "budget_ms" per
 // request (engine/api.hpp documents the full v1 schema). A malformed frame
 // yields an error response, never a crash or a dropped request; after a
-// malformed native `instance` body the session discards input up to the
-// next blank line (bodies contain none) so the remainder of the broken body
-// is not misread as frames. Solve and error responses leave in send order;
+// malformed native `instance` body the session discards the rest of the
+// failing line, then input up to the next blank line (bodies contain none),
+// so the remainder of the broken body is not misread as frames. Solve and error responses leave in send order;
 // stats/metrics probes, auth errors and over-quota refusals are answered
 // inline and may overtake queued solves.
 //
@@ -168,6 +169,9 @@ class Server final : public SessionHandler {
   // SessionHandler: frame accounting, the auth gate, fault hooks, inline
   // stats/metrics, the per-session quota, and solves on the pool.
   Dispatch classify(Frame frame, SessionInfo& session) override;
+  bool authorized(const SessionInfo& session) const override {
+    return options_.auth_token.empty() || session.authed;
+  }
   ThreadPool& pool() override { return *pool_; }
   std::size_t max_inflight() const override { return max_inflight_; }
   SessionSeries& series() override { return series_; }

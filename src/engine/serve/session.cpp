@@ -2,19 +2,15 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cerrno>
 #include <condition_variable>
-#include <cstdlib>
 #include <istream>
 #include <memory>
 #include <mutex>
 #include <ostream>
 #include <sstream>
-#include <streambuf>
 #include <utility>
 #include <vector>
 
-#include "io/format.hpp"
 #include "util/parallel.hpp"
 
 namespace bisched::engine {
@@ -57,16 +53,6 @@ bool is_reserved_id(const std::string& id) {
     return std::isdigit(c) != 0;
   });
 }
-
-// Read-only streambuf over a byte range: lets the finished instance body be
-// replayed through parse_instance without copying it out of the read buffer.
-class MemBuf final : public std::streambuf {
- public:
-  MemBuf(const char* begin, const char* end) {
-    char* b = const_cast<char*>(begin);
-    setg(b, b, const_cast<char*>(end));
-  }
-};
 
 }  // namespace
 
@@ -164,192 +150,6 @@ SessionSeries::SessionSeries(telemetry::Registry& registry)
 
 namespace detail {
 
-// ------------------------------------------------------ instance body scan ---
-
-InstanceBodyScanner::Status InstanceBodyScanner::feed(const std::string& buf,
-                                                      std::size_t* pos, bool eof) {
-  while (true) {
-    if (step_ == Step::kDone) return Status::kComplete;
-    if (step_ == Step::kFailed) return Status::kBad;
-    std::size_t i = *pos;
-    while (i < buf.size() && std::isspace(static_cast<unsigned char>(buf[i]))) {
-      ++i;
-    }
-    if (i >= buf.size()) {
-      *pos = buf.size();
-      if (!eof) return Status::kNeedMore;
-      step_ = Step::kFailed;  // truncated: replay reports "end of input"
-      return Status::kBad;
-    }
-    if (buf[i] == '#') {  // comment to end of line, like io/format's Tokens
-      const auto nl = buf.find('\n', i);
-      if (nl == std::string::npos) {
-        *pos = i;
-        if (!eof) return Status::kNeedMore;
-        *pos = buf.size();
-        step_ = Step::kFailed;
-        return Status::kBad;
-      }
-      *pos = nl + 1;
-      continue;
-    }
-    std::size_t end = i;
-    while (end < buf.size() && !std::isspace(static_cast<unsigned char>(buf[end]))) {
-      ++end;
-    }
-    if (end == buf.size() && !eof) {
-      *pos = i;  // the token may still be growing
-      return Status::kNeedMore;
-    }
-    const std::string token = buf.substr(i, end - i);
-    *pos = end;
-    const Status status = on_token(token);
-    if (status != Status::kNeedMore) return status;
-  }
-}
-
-InstanceBodyScanner::Status InstanceBodyScanner::fail() {
-  step_ = Step::kFailed;
-  return Status::kBad;
-}
-
-InstanceBodyScanner::Status InstanceBodyScanner::done() {
-  step_ = Step::kDone;
-  return Status::kComplete;
-}
-
-InstanceBodyScanner::Status InstanceBodyScanner::on_token(const std::string& token) {
-  // Bounds duplicated from io/format.cpp — the scanner must range-check the
-  // counts it loops on, or a wild `edges 10^15` would make it wait forever
-  // where the parser errors out immediately.
-  constexpr std::int64_t kMaxJobs = 10'000'000;
-  constexpr std::int64_t kMaxMachines = 1'000'000;
-  const auto as_int = [&token](std::int64_t* out) {
-    errno = 0;
-    char* end = nullptr;
-    const long long value = std::strtoll(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0' || errno != 0) return false;
-    *out = value;
-    return true;
-  };
-
-  std::int64_t value = 0;
-  switch (step_) {
-    case Step::kMagic:
-      if (token != "bisched") return fail();
-      step_ = Step::kKind;
-      return Status::kNeedMore;
-    case Step::kKind:
-      if (token != "uniform" && token != "unrelated") return fail();
-      uniform_ = token == "uniform";
-      step_ = Step::kVersion;
-      return Status::kNeedMore;
-    case Step::kVersion:
-      if (token != "v1") return fail();
-      step_ = Step::kJobsKw;
-      return Status::kNeedMore;
-    case Step::kJobsKw:
-      if (token != "jobs") return fail();
-      step_ = Step::kJobsN;
-      return Status::kNeedMore;
-    case Step::kJobsN:
-      if (!as_int(&n_) || n_ < 0 || n_ > kMaxJobs) return fail();
-      step_ = uniform_ ? Step::kPKw : Step::kMachinesKw;
-      return Status::kNeedMore;
-
-    case Step::kPKw:
-      if (token != "p") return fail();
-      index_ = 0;
-      array_bad_ = false;
-      step_ = n_ == 0 ? Step::kSpeedsKw : Step::kPVal;
-      return Status::kNeedMore;
-    case Step::kPVal:
-      if (!as_int(&value)) return fail();
-      if (value < 1) array_bad_ = true;  // checked after the whole array
-      if (++index_ == n_) {
-        if (array_bad_) return fail();
-        step_ = Step::kSpeedsKw;
-      }
-      return Status::kNeedMore;
-    case Step::kSpeedsKw:
-      if (token != "speeds") return fail();
-      step_ = Step::kSpeedsM;
-      return Status::kNeedMore;
-    case Step::kSpeedsM:
-      if (!as_int(&m_) || m_ < 1 || m_ > kMaxMachines) return fail();
-      index_ = 0;
-      array_bad_ = false;
-      step_ = Step::kSpeedVal;
-      return Status::kNeedMore;
-    case Step::kSpeedVal:
-      if (!as_int(&value)) return fail();
-      if (value < 1) array_bad_ = true;
-      if (++index_ == m_) {
-        if (array_bad_) return fail();
-        step_ = Step::kEdgesKw;
-      }
-      return Status::kNeedMore;
-
-    case Step::kMachinesKw:
-      if (token != "machines") return fail();
-      step_ = Step::kMachinesM;
-      return Status::kNeedMore;
-    case Step::kMachinesM:
-      if (!as_int(&m_) || m_ < 1 || m_ > kMaxMachines) return fail();
-      step_ = Step::kTimesKw;
-      return Status::kNeedMore;
-    case Step::kTimesKw:
-      if (token != "times") return fail();
-      row_ = 0;
-      index_ = 0;
-      array_bad_ = false;
-      step_ = n_ == 0 ? Step::kEdgesKw : Step::kTimesVal;
-      return Status::kNeedMore;
-    case Step::kTimesVal:
-      if (!as_int(&value)) return fail();
-      if (value < 0) array_bad_ = true;
-      if (++index_ == n_) {
-        if (array_bad_) return fail();  // rows validate one at a time
-        index_ = 0;
-        if (++row_ == m_) step_ = Step::kEdgesKw;
-      }
-      return Status::kNeedMore;
-
-    case Step::kEdgesKw:
-      if (token != "edges") return fail();
-      step_ = Step::kEdgesK;
-      return Status::kNeedMore;
-    case Step::kEdgesK:
-      if (!as_int(&k_) || k_ < 0 || k_ > n_ * n_) return fail();
-      if (k_ == 0) return done();
-      index_ = 0;
-      have_u_ = false;
-      step_ = Step::kEdgeVal;
-      return Status::kNeedMore;
-    case Step::kEdgeVal:
-      if (!as_int(&value)) return fail();
-      if (!have_u_) {
-        edge_u_ = value;
-        have_u_ = true;
-        return Status::kNeedMore;
-      }
-      // read_edges validates each pair as it lands, so a bad edge stops
-      // consumption right here, mid-list.
-      if (edge_u_ < 0 || edge_u_ >= n_ || value < 0 || value >= n_ || edge_u_ == value) {
-        return fail();
-      }
-      have_u_ = false;
-      if (++index_ == k_) return done();
-      return Status::kNeedMore;
-
-    case Step::kDone:
-      return Status::kComplete;
-    case Step::kFailed:
-      return Status::kBad;
-  }
-  return fail();  // unreachable
-}
-
 // ---------------------------------------------------------- frame machine ---
 
 SessionEngine::SessionEngine(SessionHandler& handler, std::size_t pipeline_depth)
@@ -398,8 +198,10 @@ void SessionEngine::complete(Session& s, std::uint64_t ticket, std::string line)
 
 void SessionEngine::dispatch_frame(Session& s, Frame frame) {
   s.last_frame = Clock::now();
-  if (frame.kind == Frame::Kind::kQuit || frame.kind == Frame::Kind::kShutdown) {
-    if (frame.kind == Frame::Kind::kShutdown) handler_.request_shutdown();
+  const bool shutdown =
+      frame.kind == Frame::Kind::kShutdown && handler_.authorized(s.info);
+  if (frame.kind == Frame::Kind::kQuit || shutdown) {
+    if (shutdown) handler_.request_shutdown();
     s.closing = true;
     return;
   }
@@ -420,40 +222,33 @@ void SessionEngine::process_input(Session& s) {
       break;
     }
     if (s.mode == Session::Mode::kBody) {
-      const auto status = s.scanner.feed(s.rbuf, &s.rpos, s.read_eof);
-      if (status == InstanceBodyScanner::Status::kNeedMore) break;
-      // Replay the consumed range through the real parser: io/format alone
-      // decides validity and error wording, the scanner only found the end.
-      MemBuf mem(s.rbuf.data() + s.body_start, s.rbuf.data() + s.rpos);
-      std::istream body(&mem);
-      auto parsed = std::make_shared<ParsedInstance>(parse_instance(body));
-      const bool ok = parsed->ok();
+      const auto status = s.body.feed(s.rbuf, &s.rpos, s.read_eof);
+      if (status == InstanceParser::Status::kNeedMore) break;
+      auto parsed = std::make_shared<ParsedInstance>(s.body.take());
       if (s.body_frame.bad.empty()) s.body_frame.req.parsed = std::move(parsed);
-      if (ok) {
+      if (status == InstanceParser::Status::kDone) {
         s.mode = Session::Mode::kLine;
         dispatch_frame(s, std::exchange(s.body_frame, Frame{}));
       } else {
-        // The parser stopped mid-body: discard input up to the next blank
-        // line (bodies contain none) before the frame is answered, so the
+        // The parser stopped right after the offending token, mid-line:
+        // discard the rest of that line, then input up to the next blank
+        // line (bodies contain none), before the frame is answered, so the
         // rest of the broken body is not misread as frames.
         s.mode = Session::Mode::kDiscard;
+        s.failed_line = true;
       }
     } else if (s.mode == Session::Mode::kDiscard) {
       bool resynced = false;
-      while (true) {
+      while (!resynced) {
         const auto nl = s.rbuf.find('\n', s.rpos);
         if (nl == std::string::npos) {
-          if (!s.read_eof) break;
-          s.rpos = s.rbuf.size();  // EOF ends the discard too
-          resynced = true;
+          resynced = s.read_eof;  // EOF ends the discard too
+          if (resynced) s.rpos = s.rbuf.size();
           break;
         }
-        const std::string line = s.rbuf.substr(s.rpos, nl - s.rpos);
+        resynced = !s.failed_line && trimmed(s.rbuf.substr(s.rpos, nl - s.rpos)).empty();
+        s.failed_line = false;
         s.rpos = nl + 1;
-        if (trimmed(line).empty()) {
-          resynced = true;
-          break;
-        }
       }
       if (!resynced) break;
       s.mode = Session::Mode::kLine;
@@ -475,17 +270,16 @@ void SessionEngine::process_input(Session& s) {
       Frame frame = classify_frame(text, &needs_body);
       if (needs_body) {
         s.mode = Session::Mode::kBody;
-        s.scanner = InstanceBodyScanner();
-        s.body_start = s.rpos;
+        s.body = InstanceParser();
         s.body_frame = std::move(frame);
         continue;
       }
       dispatch_frame(s, std::move(frame));
     }
   }
-  // Reclaim consumed bytes between frames. Never mid-body or mid-discard:
-  // body_start/rpos index into rbuf until the body is fully handled.
-  if (s.mode == Session::Mode::kLine && s.rpos > 0) {
+  // Reclaim consumed bytes, mid-body too: the parser keeps no pointer into
+  // rbuf, only the unread tail from rpos on matters.
+  if (s.rpos > 0) {
     s.rbuf.erase(0, s.rpos);
     s.rpos = 0;
   }

@@ -14,8 +14,11 @@
 // below for borrowed iostreams (stdio `serve`/`route`, in-process callers).
 //
 // Per-session rules, whatever the runner: `quit` ends the session and
-// `shutdown` also asks the listener to stop; work lines leave in the order
-// their frames arrived; a session with pipeline_depth frames of work in
+// `shutdown` (from an authorized session) also asks the listener to stop;
+// an instance body is fed to io/format's InstanceParser as its bytes
+// arrive, and a body that fails to parse is discarded through the rest of
+// its failing line, then to the next blank line; work lines leave in the
+// order their frames arrived; a session with pipeline_depth frames of work in
 // flight, a backlog of unwritten responses, or its handler at max_inflight
 // across all sessions stops reading (its reads are *parked*) until
 // completions drain.
@@ -31,6 +34,7 @@
 
 #include "engine/api.hpp"
 #include "engine/telemetry/metrics.hpp"
+#include "io/format.hpp"
 
 namespace bisched {
 class ThreadPool;
@@ -89,9 +93,14 @@ class SessionHandler {
  public:
   virtual ~SessionHandler() = default;
 
-  // One complete frame; the engine handles `quit` and `shutdown` itself.
-  // Runs on the runner's thread, one frame at a time per runner.
+  // One complete frame; the engine handles `quit`, and `shutdown` from an
+  // authorized session, itself. Runs on the runner's thread, one frame at a
+  // time per runner.
   virtual Dispatch classify(Frame frame, SessionInfo& session) = 0;
+  // Whether `session` has passed the handler's auth gate (always, without
+  // one). A `shutdown` from a session that has not goes to classify(),
+  // whose gate refuses it like any other pre-auth frame.
+  virtual bool authorized(const SessionInfo&) const { return true; }
   virtual ThreadPool& pool() = 0;
   // Work in flight across all sessions at which every reader parks.
   virtual std::size_t max_inflight() const = 0;
@@ -115,41 +124,6 @@ void serve_stream(SessionHandler& handler, std::istream& in, std::ostream& out,
 
 namespace detail {
 
-// Answers "does the buffer hold one complete native instance yet?" by
-// mirroring parse_instance's consumption token by token, so it stops at the
-// byte where the real parser would stop, for well-formed and malformed bodies
-// alike. It never builds an instance: the frame machine replays the consumed
-// range through parse_instance, which alone decides validity and wording.
-class InstanceBodyScanner {
- public:
-  enum class Status { kNeedMore, kComplete, kBad };
-
-  // Consumes tokens from buf[*pos..), advancing *pos past every fully
-  // consumed token. `eof`: no more bytes will arrive, so a token at the
-  // buffer edge is complete and a truncated body is kBad.
-  Status feed(const std::string& buf, std::size_t* pos, bool eof);
-
- private:
-  enum class Step {
-    kMagic, kKind, kVersion, kJobsKw, kJobsN,
-    kPKw, kPVal, kSpeedsKw, kSpeedsM, kSpeedVal,
-    kMachinesKw, kMachinesM, kTimesKw, kTimesVal,
-    kEdgesKw, kEdgesK, kEdgeVal,
-    kDone, kFailed,
-  };
-
-  Status on_token(const std::string& token);
-  Status fail();
-  Status done();
-
-  Step step_ = Step::kMagic;
-  bool uniform_ = false;
-  bool array_bad_ = false;
-  bool have_u_ = false;
-  std::int64_t n_ = 0, m_ = 0, k_ = 0;
-  std::int64_t index_ = 0, row_ = 0, edge_u_ = 0;
-};
-
 // The frame machine and per-session ordering, shared by both runners. A
 // runner owns its sessions, calls process_input() after appending bytes and
 // complete() for each finished ticket, from one thread at a time.
@@ -163,10 +137,10 @@ class SessionEngine {
     std::string rbuf;
     std::size_t rpos = 0;
     enum class Mode { kLine, kBody, kDiscard } mode = Mode::kLine;
-    InstanceBodyScanner scanner;
-    std::size_t body_start = 0;  // rbuf offset where the pending body begins
-    Frame body_frame;            // `instance` header awaiting its body (and,
-                                 // in discard mode, the frame awaiting resync)
+    InstanceParser body;  // the pending `instance` body, fed as bytes arrive
+    Frame body_frame;     // `instance` header awaiting its body (and, in
+                          // discard mode, the frame awaiting resync)
+    bool failed_line = false;  // discard: still on the line the parse failed on
     bool read_eof = false;
     std::chrono::steady_clock::time_point last_frame;  // last complete frame
 

@@ -205,11 +205,12 @@ std::unique_ptr<TcpListener> TcpListener::open(const std::string& host, int port
   int fd = -1;
   std::string last_error = "no usable address for '" + host + "'";
   for (const addrinfo* ai = addresses; ai != nullptr; ai = ai->ai_next) {
-    // The no-auth guard: every candidate address is checked, so a hostname
+    // The loopback guard: every candidate address is checked, so a hostname
     // that resolves to anything non-loopback cannot slip a public bind in.
     if (!allow_remote && !is_loopback(ai->ai_addr)) {
       last_error = "refusing non-loopback bind on '" + host +
-                   "' (serve has no auth; pass --allow-remote to expose it)";
+                   "' (exposing serve needs --allow-remote and an auth token, "
+                   "--auth-token=T or $BISCHED_AUTH_TOKEN)";
       continue;
     }
     fd = ::socket(ai->ai_family, ai->ai_socktype, ai->ai_protocol);

@@ -103,8 +103,9 @@ class TcpListener final : public Listener {
  public:
   // Resolves `host` (numeric or named, IPv4 or IPv6; brackets around a
   // numeric IPv6 are accepted) and binds `port` (0 = ephemeral — read the
-  // chosen one back with port()). Serve mode has no auth yet, so a host
-  // that is not a loopback address is refused unless `allow_remote`.
+  // chosen one back with port()). A host that is not a loopback address is
+  // refused unless `allow_remote` (the CLI grants that only together with
+  // an auth token).
   // Returns nullptr with *error set on failure.
   static std::unique_ptr<TcpListener> open(const std::string& host, int port,
                                            bool allow_remote, std::string* error);

@@ -1,191 +1,302 @@
 #include "io/format.hpp"
 
+#include <algorithm>
+#include <charconv>
 #include <istream>
+#include <iterator>
 #include <ostream>
-#include <sstream>
-#include <vector>
+#include <utility>
 
 namespace bisched {
 
 namespace {
 
-// Token stream that skips '#' comments to end of line.
-class Tokens {
- public:
-  explicit Tokens(std::istream& in) : in_(in) {}
-
-  std::optional<std::string> next() {
-    std::string token;
-    while (in_ >> token) {
-      if (token[0] == '#') {
-        std::string rest;
-        std::getline(in_, rest);
-        continue;
-      }
-      return token;
-    }
-    return std::nullopt;
-  }
-
-  bool next_int(std::int64_t* out) {
-    const auto token = next();
-    if (!token.has_value()) return false;
-    errno = 0;
-    char* end = nullptr;
-    const long long value = std::strtoll(token->c_str(), &end, 10);
-    if (end == token->c_str() || *end != '\0' || errno != 0) return false;
-    *out = value;
-    return true;
-  }
-
- private:
-  std::istream& in_;
-};
-
-bool expect(Tokens& tokens, const std::string& literal, std::string* error) {
-  const auto token = tokens.next();
-  if (!token.has_value() || *token != literal) {
-    *error = "expected '" + literal + "'" +
-             (token.has_value() ? ", got '" + *token + "'" : ", got end of input");
-    return false;
-  }
-  return true;
-}
-
-bool read_count(Tokens& tokens, const std::string& keyword, std::int64_t lo, std::int64_t hi,
-                std::int64_t* out, std::string* error) {
-  if (!expect(tokens, keyword, error)) return false;
-  if (!tokens.next_int(out)) {
-    *error = "expected an integer after '" + keyword + "'";
-    return false;
-  }
-  if (*out < lo || *out > hi) {
-    *error = "'" + keyword + "' value " + std::to_string(*out) + " out of range [" +
-             std::to_string(lo) + ", " + std::to_string(hi) + "]";
-    return false;
-  }
-  return true;
-}
-
-bool read_ints(Tokens& tokens, std::int64_t count, std::vector<std::int64_t>* out,
-               const std::string& what, std::string* error) {
-  out->resize(static_cast<std::size_t>(count));
-  for (std::int64_t i = 0; i < count; ++i) {
-    if (!tokens.next_int(&(*out)[static_cast<std::size_t>(i)])) {
-      *error = "expected " + std::to_string(count) + " integers for " + what;
-      return false;
-    }
-  }
-  return true;
-}
-
-bool read_edges(Tokens& tokens, int n, Graph* g, std::string* error) {
-  std::int64_t k = 0;
-  if (!read_count(tokens, "edges", 0, static_cast<std::int64_t>(n) * n, &k, error)) {
-    return false;
-  }
-  for (std::int64_t e = 0; e < k; ++e) {
-    std::int64_t u = 0, v = 0;
-    if (!tokens.next_int(&u) || !tokens.next_int(&v)) {
-      *error = "expected " + std::to_string(k) + " edge lines";
-      return false;
-    }
-    if (u < 0 || u >= n || v < 0 || v >= n || u == v) {
-      *error = "bad edge (" + std::to_string(u) + ", " + std::to_string(v) + ")";
-      return false;
-    }
-    g->add_edge(static_cast<int>(u), static_cast<int>(v));
-  }
-  return true;
-}
-
 constexpr std::int64_t kMaxJobs = 10'000'000;
 constexpr std::int64_t kMaxMachines = 1'000'000;
 
+// What istream extraction skips in the "C" locale: space, \t \n \v \f \r.
+bool is_space(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
+enum class Lex { kToken, kEnd, kNeedMore };
+
+// The next token of bytes[*pos..), past whitespace and '#' comments (a token
+// that starts with '#' comments out the rest of its line). kToken leaves
+// *pos just past the token, kEnd (only with eof) at the end of the bytes;
+// kNeedMore (only without eof) means a token or comment touches the end of
+// the bytes, and leaves *pos on its first byte.
+Lex next_token(std::string_view bytes, std::size_t* pos, bool eof, std::string_view* token) {
+  std::size_t i = *pos;
+  while (true) {
+    while (i < bytes.size() && is_space(bytes[i])) ++i;
+    *pos = i;
+    if (i == bytes.size()) return eof ? Lex::kEnd : Lex::kNeedMore;
+    if (bytes[i] == '#') {
+      const std::size_t nl = bytes.find('\n', i);
+      if (nl == std::string_view::npos && !eof) return Lex::kNeedMore;
+      i = nl == std::string_view::npos ? bytes.size() : nl + 1;
+      continue;
+    }
+    std::size_t end = i;
+    while (end < bytes.size() && !is_space(bytes[end])) ++end;
+    if (end == bytes.size() && !eof) return Lex::kNeedMore;
+    *token = bytes.substr(i, end - i);
+    *pos = end;
+    return Lex::kToken;
+  }
+}
+
+// A whole token in base 10: an optional '+' or '-', then digits that fit in
+// int64. An embedded NUL byte also ends the integer, as it does for strtoll
+// over a C string, which this format was first read with.
+bool to_int(std::string_view token, std::int64_t* out) {
+  if (token.size() > 1 && token[0] == '+' && token[1] != '-') token.remove_prefix(1);
+  const char* end = token.data() + token.size();
+  const auto [stop, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && (stop == end || *stop == '\0');
+}
+
+using Token = std::optional<std::string_view>;  // nullopt: the input ended
+
+std::string expected(std::string_view word, Token token) {
+  return "expected '" + std::string(word) + "', got " +
+         (token.has_value() ? "'" + std::string(*token) + "'" : "end of input");
+}
+
+// The count after `word`, range-checked; the error, or "" when it is good.
+std::string count_error(Token token, std::string_view word, std::int64_t lo,
+                        std::int64_t hi, std::int64_t* out) {
+  const std::string quoted = "'" + std::string(word) + "'";
+  if (!token.has_value() || !to_int(*token, out)) {
+    return "expected an integer after " + quoted;
+  }
+  if (*out < lo || *out > hi) {
+    return quoted + " value " + std::to_string(*out) + " out of range [" +
+           std::to_string(lo) + ", " + std::to_string(hi) + "]";
+  }
+  return "";
+}
+
+bool any_below(const std::vector<std::int64_t>& values, std::int64_t lo) {
+  return std::any_of(values.begin(), values.end(), [lo](std::int64_t x) { return x < lo; });
+}
+
 }  // namespace
 
+InstanceParser::Status InstanceParser::feed(std::string_view bytes, std::size_t* pos,
+                                            bool eof) {
+  while (step_ != Step::kDone && step_ != Step::kError) {
+    std::string_view token;
+    const Lex lex = next_token(bytes, pos, eof, &token);
+    if (lex == Lex::kNeedMore) return Status::kNeedMore;
+    on_token(lex == Lex::kToken ? Token(token) : std::nullopt);
+  }
+  return step_ == Step::kDone ? Status::kDone : Status::kError;
+}
+
+void InstanceParser::fail(std::string error) {
+  result_.error = std::move(error);
+  step_ = Step::kError;
+}
+
+// Every step fails on the end of input, so feed() always decides at eof.
+void InstanceParser::on_token(Token token) {
+  std::int64_t value = 0;
+  const bool is_int = token.has_value() && to_int(*token, &value);
+  const auto expect = [&](std::string_view word, Step next) {
+    if (token != word) return fail(expected(word, token));
+    enter(next);
+  };
+  const auto count = [&](std::string_view word, std::int64_t lo, std::int64_t hi,
+                         std::int64_t* out) {
+    std::string error = count_error(token, word, lo, hi, out);
+    if (error.empty()) return true;
+    fail(std::move(error));
+    return false;
+  };
+  const auto ints_error = [](std::int64_t n, const char* what) {
+    return "expected " + std::to_string(n) + " integers for " + what;
+  };
+  switch (step_) {
+    case Step::kMagic:
+      return expect("bisched", Step::kKind);
+    case Step::kKind:
+      if (token != "uniform" && token != "unrelated") {
+        return fail("expected 'uniform' or 'unrelated' header");
+      }
+      uniform_ = token == "uniform";
+      return enter(Step::kVersion);
+    case Step::kVersion:
+      return expect("v1", Step::kJobsKw);
+    case Step::kJobsKw:
+      return expect("jobs", Step::kJobs);
+    case Step::kJobs:
+      if (count("jobs", 0, kMaxJobs, &n_)) {
+        enter(uniform_ ? Step::kPKw : Step::kMachinesKw);
+      }
+      return;
+
+    case Step::kPKw:
+      return expect("p", Step::kP);
+    case Step::kP:
+      if (!is_int) return fail(ints_error(n_, "p"));
+      p_.push_back(value);
+      return enter(Step::kP);
+    case Step::kSpeedsKw:
+      return expect("speeds", Step::kSpeeds);
+    case Step::kSpeeds:
+      if (count("speeds", 1, kMaxMachines, &m_)) enter(Step::kSpeed);
+      return;
+    case Step::kSpeed:
+      if (!is_int) return fail(ints_error(m_, "speeds"));
+      speeds_.push_back(value);
+      return enter(Step::kSpeed);
+
+    case Step::kMachinesKw:
+      return expect("machines", Step::kMachines);
+    case Step::kMachines:
+      if (count("machines", 1, kMaxMachines, &m_)) enter(Step::kTimesKw);
+      return;
+    case Step::kTimesKw:
+      return expect("times", Step::kTime);
+    case Step::kTime:
+      if (!is_int) return fail(ints_error(n_, "times row"));
+      if (times_.empty() || std::ssize(times_.back()) == n_) times_.emplace_back();
+      times_.back().push_back(value);
+      return enter(Step::kTime);
+
+    case Step::kEdgesKw:
+      return expect("edges", Step::kEdges);
+    case Step::kEdges:
+      if (count("edges", 0, n_ * n_, &k_)) {
+        graph_ = Graph(static_cast<int>(n_));
+        enter(Step::kEdge);
+      }
+      return;
+    case Step::kEdge:
+      if (!is_int) return fail("expected " + std::to_string(k_) + " edge lines");
+      if (!edge_u_.has_value()) {
+        edge_u_ = value;
+        return;
+      }
+      if (*edge_u_ < 0 || *edge_u_ >= n_ || value < 0 || value >= n_ || *edge_u_ == value) {
+        return fail("bad edge (" + std::to_string(*edge_u_) + ", " + std::to_string(value) +
+                    ")");
+      }
+      graph_.add_edge(static_cast<int>(*edge_u_), static_cast<int>(value));
+      edge_u_.reset();
+      return enter(Step::kEdge);
+
+    case Step::kDone:
+    case Step::kError:
+      return;
+  }
+}
+
+// Moves to `next`. An array step checks its values once the last one is in
+// and passes on at once, so an empty array (`jobs 0`, `edges 0`) takes no
+// tokens at all.
+void InstanceParser::enter(Step next) {
+  step_ = next;
+  switch (step_) {
+    case Step::kP:
+      if (std::ssize(p_) < n_) return;
+      if (any_below(p_, 1)) return fail("processing requirements must be >= 1");
+      step_ = Step::kSpeedsKw;
+      return;
+    case Step::kSpeed:
+      if (std::ssize(speeds_) < m_) return;
+      if (any_below(speeds_, 1)) return fail("speeds must be >= 1");
+      step_ = Step::kEdgesKw;
+      return;
+    case Step::kTime: {
+      // Rows are checked one at a time, as each one completes.
+      const bool row_done = !times_.empty() && std::ssize(times_.back()) == n_;
+      if (row_done && any_below(times_.back(), 0)) return fail("times must be >= 0");
+      if (n_ != 0 && !(row_done && std::ssize(times_) == m_)) return;
+      step_ = Step::kEdgesKw;
+      return;
+    }
+    case Step::kEdge:
+      if (graph_.num_edges() < k_) return;
+      if (uniform_) {
+        result_.uniform =
+            make_uniform_instance(std::move(p_), std::move(speeds_), std::move(graph_));
+      } else {
+        times_.resize(static_cast<std::size_t>(m_));  // `jobs 0`: m empty rows
+        result_.unrelated = make_unrelated_instance(std::move(times_), std::move(graph_));
+      }
+      step_ = Step::kDone;
+      return;
+    default:
+      return;
+  }
+}
+
+ParsedInstance parse_instance(std::string_view text) {
+  InstanceParser parser;
+  std::size_t pos = 0;
+  parser.feed(text, &pos, /*eof=*/true);
+  return parser.take();
+}
+
 ParsedInstance parse_instance(std::istream& in) {
-  ParsedInstance result;
-  Tokens tokens(in);
-  if (!expect(tokens, "bisched", &result.error)) return result;
-  const auto kind = tokens.next();
-  if (!kind.has_value() || (*kind != "uniform" && *kind != "unrelated")) {
-    result.error = "expected 'uniform' or 'unrelated' header";
-    return result;
+  constexpr std::size_t kChunk = std::size_t{64} << 10;
+  InstanceParser parser;
+  std::string buf;
+  std::size_t pos = 0;
+  auto status = InstanceParser::Status::kNeedMore;
+  while (status == InstanceParser::Status::kNeedMore) {
+    buf.erase(0, pos);
+    pos = 0;
+    const std::size_t kept = buf.size();
+    buf.resize(kept + kChunk);
+    in.read(buf.data() + kept, static_cast<std::streamsize>(kChunk));
+    buf.resize(kept + static_cast<std::size_t>(in.gcount()));
+    status = parser.feed(buf, &pos, /*eof=*/!in);
   }
-  if (!expect(tokens, "v1", &result.error)) return result;
-
-  std::int64_t n = 0;
-  if (!read_count(tokens, "jobs", 0, kMaxJobs, &n, &result.error)) return result;
-
-  if (*kind == "uniform") {
-    std::vector<std::int64_t> p;
-    if (!expect(tokens, "p", &result.error)) return result;
-    if (!read_ints(tokens, n, &p, "p", &result.error)) return result;
-    for (std::int64_t x : p) {
-      if (x < 1) {
-        result.error = "processing requirements must be >= 1";
-        return result;
-      }
-    }
-    std::int64_t m = 0;
-    if (!read_count(tokens, "speeds", 1, kMaxMachines, &m, &result.error)) return result;
-    std::vector<std::int64_t> speeds;
-    if (!read_ints(tokens, m, &speeds, "speeds", &result.error)) return result;
-    for (std::int64_t s : speeds) {
-      if (s < 1) {
-        result.error = "speeds must be >= 1";
-        return result;
-      }
-    }
-    Graph g(static_cast<int>(n));
-    if (!read_edges(tokens, static_cast<int>(n), &g, &result.error)) return result;
-    result.uniform = make_uniform_instance(std::move(p), std::move(speeds), std::move(g));
-    return result;
-  }
-
-  std::int64_t m = 0;
-  if (!read_count(tokens, "machines", 1, kMaxMachines, &m, &result.error)) return result;
-  if (!expect(tokens, "times", &result.error)) return result;
-  std::vector<std::vector<std::int64_t>> times(static_cast<std::size_t>(m));
-  for (std::int64_t i = 0; i < m; ++i) {
-    if (!read_ints(tokens, n, &times[static_cast<std::size_t>(i)], "times row",
-                   &result.error)) {
-      return result;
-    }
-    for (std::int64_t x : times[static_cast<std::size_t>(i)]) {
-      if (x < 0) {
-        result.error = "times must be >= 0";
-        return result;
-      }
-    }
-  }
-  Graph g(static_cast<int>(n));
-  if (!read_edges(tokens, static_cast<int>(n), &g, &result.error)) return result;
-  result.unrelated = make_unrelated_instance(std::move(times), std::move(g));
-  return result;
+  return parser.take();
 }
 
 std::optional<Schedule> parse_schedule(std::istream& in, std::string* error) {
-  Tokens tokens(in);
   std::string local_error;
-  std::string* err = error != nullptr ? error : &local_error;
-  if (!expect(tokens, "bisched", err)) return std::nullopt;
-  if (!expect(tokens, "schedule", err)) return std::nullopt;
-  if (!expect(tokens, "v1", err)) return std::nullopt;
-  std::int64_t n = 0;
-  if (!read_count(tokens, "jobs", 0, kMaxJobs, &n, err)) return std::nullopt;
-  if (!expect(tokens, "machine_of", err)) return std::nullopt;
-  std::vector<std::int64_t> raw;
-  if (!read_ints(tokens, n, &raw, "machine_of", err)) return std::nullopt;
-  Schedule s;
-  s.machine_of.reserve(raw.size());
-  for (std::int64_t x : raw) {
-    if (x < 0 || x > INT32_MAX) {
-      *err = "machine index out of range";
+  std::string& err = error != nullptr ? *error : local_error;
+  const std::string text{std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+  std::size_t pos = 0;
+  const auto next = [&text, &pos]() -> Token {
+    std::string_view token;
+    if (next_token(text, &pos, /*eof=*/true, &token) == Lex::kEnd) return std::nullopt;
+    return token;
+  };
+  for (const std::string_view word : {"bisched", "schedule", "v1", "jobs"}) {
+    if (const Token token = next(); token != word) {
+      err = expected(word, token);
       return std::nullopt;
     }
+  }
+  std::int64_t n = 0;
+  if (std::string count = count_error(next(), "jobs", 0, kMaxJobs, &n); !count.empty()) {
+    err = std::move(count);
+    return std::nullopt;
+  }
+  if (const Token token = next(); token != "machine_of") {
+    err = expected("machine_of", token);
+    return std::nullopt;
+  }
+  Schedule s;
+  bool out_of_range = false;  // reported once every value is in, as before
+  for (std::int64_t i = 0; i < n; ++i) {
+    std::int64_t x = 0;
+    const Token token = next();
+    if (!token.has_value() || !to_int(*token, &x)) {
+      err = "expected " + std::to_string(n) + " integers for machine_of";
+      return std::nullopt;
+    }
+    out_of_range = out_of_range || x < 0 || x > INT32_MAX;
     s.machine_of.push_back(static_cast<int>(x));
+  }
+  if (out_of_range) {
+    err = "machine index out of range";
+    return std::nullopt;
   }
   return s;
 }

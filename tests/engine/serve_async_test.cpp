@@ -77,10 +77,11 @@ std::string read_to_eof(int fd) {
   return out;
 }
 
-// Serves `stream` over one unix-socket session on the given core and returns
-// the full response byte stream plus the server's aggregate stats.
-std::pair<std::string, engine::ServeStats> one_shot_session(
-    const std::string& stream, ServeOptions options, const std::string& tag) {
+// Serves each of `streams` over its own unix-socket session, one after
+// another on one server, and returns every session's full response byte
+// stream plus the server's aggregate stats.
+std::pair<std::vector<std::string>, engine::ServeStats> serve_sessions(
+    const std::vector<std::string>& streams, ServeOptions options, const std::string& tag) {
   const auto dir = fs::temp_directory_path() / ("bisched_async_" + tag);
   fs::create_directories(dir);
   const std::string socket_path = (dir / "serve.sock").string();
@@ -92,26 +93,39 @@ std::pair<std::string, engine::ServeStats> one_shot_session(
                                &serve_error);
   });
 
-  const int fd = connect_with_retry(socket_path);
-  EXPECT_GE(fd, 0) << serve_error;
-  std::string response;
-  if (fd >= 0) {
-    write_all(fd, stream);
-    ::shutdown(fd, SHUT_WR);
-    response = read_to_eof(fd);
-    ::close(fd);
+  std::vector<std::string> responses;
+  for (const std::string& stream : streams) {
+    const int fd = connect_with_retry(socket_path);
+    EXPECT_GE(fd, 0) << serve_error;
+    std::string response;
+    if (fd >= 0) {
+      write_all(fd, stream);
+      ::shutdown(fd, SHUT_WR);
+      response = read_to_eof(fd);
+      ::close(fd);
+    }
+    responses.push_back(std::move(response));
   }
 
+  // Only an authenticated session may stop a token-protected server.
   const int bye = connect_with_retry(socket_path);
   EXPECT_GE(bye, 0);
   if (bye >= 0) {
-    write_all(bye, "shutdown\n");
+    const std::string auth =
+        options.auth_token.empty() ? "" : "auth " + options.auth_token + "\n";
+    write_all(bye, auth + "shutdown\n");
     ::close(bye);
   }
   server.join();
   fs::remove_all(dir);
   EXPECT_TRUE(serve_error.empty()) << serve_error;
-  return {response, stats};
+  return {responses, stats};
+}
+
+std::pair<std::string, engine::ServeStats> one_shot_session(
+    const std::string& stream, ServeOptions options, const std::string& tag) {
+  auto [responses, stats] = serve_sessions({stream}, std::move(options), tag);
+  return {responses.front(), stats};
 }
 
 // ---------------------------------------------------------------------------
@@ -241,8 +255,8 @@ TEST(ServeAsync, SlowWriterDoesNotBlockOtherSessionsOrBreakFraming) {
 }
 
 // ---------------------------------------------------------------------------
-// The auth gate over the event loop: pre-auth frames get one error line and
-// a closed session; the right token admits silently.
+// The auth gate over the event loop: pre-auth frames, `shutdown` included,
+// get one error line and a closed session; the right token admits silently.
 
 TEST(ServeAsync, AuthGateHoldsOverTheEventLoop) {
   Rng rng(64);
@@ -272,7 +286,25 @@ TEST(ServeAsync, AuthGateHoldsOverTheEventLoop) {
     EXPECT_NE(lines[0].find("\"id\": \"good\""), std::string::npos);
     EXPECT_NE(lines[0].find("\"status\": \"ok\""), std::string::npos);
     EXPECT_EQ(stats.ok, 1u);
-    EXPECT_EQ(stats.auth_frames, 1u);
+    EXPECT_EQ(stats.auth_frames, 2u);  // this session's and the teardown's
+  }
+  {
+    // A pre-auth `shutdown` is refused like any other pre-auth frame (one
+    // error line, counted as malformed, session closed) and the server
+    // keeps serving the next, authenticated session.
+    const auto [outs, stats] = serve_sessions(
+        {"shutdown\n", "auth sesame\ninstance after\n" + text}, options,
+        "auth_shutdown");
+    const auto refused = lines_of(outs[0]);
+    ASSERT_EQ(refused.size(), 1u) << outs[0];
+    EXPECT_NE(refused[0].find("auth required"), std::string::npos);
+    const auto served = lines_of(outs[1]);
+    ASSERT_EQ(served.size(), 1u) << outs[1];
+    EXPECT_NE(served[0].find("\"id\": \"after\""), std::string::npos);
+    EXPECT_NE(served[0].find("\"status\": \"ok\""), std::string::npos);
+    EXPECT_EQ(stats.malformed, 1u);
+    EXPECT_EQ(stats.ok, 1u);
+    EXPECT_EQ(stats.errors, 1u);
   }
 }
 

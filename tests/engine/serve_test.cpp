@@ -146,6 +146,18 @@ TEST(Serve, MalformedInlineBodyYieldsOneErrorAndResynchronizes) {
   EXPECT_EQ(stats2.errors, 1u);
   EXPECT_NE(out2.str().find("at most one id"), std::string::npos);
   EXPECT_NE(out2.str().find("\"id\": \"fine\""), std::string::npos);
+  // A body whose failing token ends its line: the rest of that (empty) line
+  // is not the blank resync line, so the later edge lines are discarded too.
+  std::istringstream in3("instance bad-edge\nbisched uniform v1\njobs 4\np 1 2 3 4\n"
+                         "speeds 1\n1\nedges 3\n0 0\n1 2\n2 3\n\ninstance after\n" +
+                         instance_text(good));
+  std::ostringstream out3;
+  const auto stats3 = engine::serve(SolverRegistry::builtin(), in3, out3, options);
+  EXPECT_EQ(stats3.requests, 2u) << out3.str();
+  EXPECT_EQ(stats3.ok, 1u);
+  EXPECT_EQ(stats3.errors, 1u);
+  EXPECT_NE(out3.str().find("bad edge (0, 0)"), std::string::npos);
+  EXPECT_NE(out3.str().find("\"id\": \"after\""), std::string::npos);
   const auto lines = lines_of(out.str());
   ASSERT_EQ(lines.size(), 2u);
   const auto text = out.str();
@@ -454,10 +466,12 @@ TEST(ServeTcp, LoopbackListenerServesAndPublicBindsNeedAllowRemote) {
   EXPECT_TRUE(serve_error.empty()) << serve_error;
   EXPECT_EQ(stats.ok, 1u);
 
-  // The no-auth guard: a wildcard bind is refused...
+  // The loopback guard: a wildcard bind is refused, naming both things
+  // exposing serve takes...
   EXPECT_EQ(engine::TcpListener::open("0.0.0.0", 0, /*allow_remote=*/false, &error),
             nullptr);
   EXPECT_NE(error.find("--allow-remote"), std::string::npos) << error;
+  EXPECT_NE(error.find("auth token"), std::string::npos) << error;
   // ...and allowed only with the explicit opt-in.
   auto exposed = engine::TcpListener::open("0.0.0.0", 0, /*allow_remote=*/true, &error);
   EXPECT_NE(exposed, nullptr) << error;
