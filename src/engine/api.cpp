@@ -1,6 +1,7 @@
 #include "engine/api.hpp"
 
 #include <charconv>
+#include <chrono>
 #include <fstream>
 #include <ostream>
 #include <sstream>
@@ -189,83 +190,153 @@ void write_response_csv(std::ostream& out, const SolveResponse& r) {
 
 // ------------------------------------------------------------- execution ---
 
+namespace {
+
+template <typename Fn>
+auto with_instance(const ParsedInstance& parsed, Fn&& fn) {
+  return parsed.uniform.has_value() ? fn(*parsed.uniform) : fn(*parsed.unrelated);
+}
+
+// An instance as the lookup order sees it: its hash first, the instance
+// itself on first use. A parser record is built then, under a `build` span;
+// an instance its caller built is handed out as it is.
+class LazyInstance {
+ public:
+  explicit LazyInstance(const InstanceRecord& record) : record_(&record) {}
+  explicit LazyInstance(const ParsedInstance& parsed) : built_(&parsed) {}
+
+  std::uint64_t hash() const {
+    return record_ != nullptr
+               ? record_->hash()
+               : with_instance(*built_, [](const auto& i) { return instance_hash(i); });
+  }
+
+  bool built() const { return built_ != nullptr; }
+  const ParsedInstance& get(telemetry::TraceSpan* parent) {
+    if (built_ == nullptr) {
+      telemetry::ScopedSpan span(parent, "build");
+      owned_ = record_->build();
+      built_ = &*owned_;
+    }
+    return *built_;
+  }
+
+ private:
+  const InstanceRecord* record_ = nullptr;
+  const ParsedInstance* built_ = nullptr;
+  std::optional<ParsedInstance> owned_;
+};
+
+// The one lookup order: the profile tier by hash alone, then the result
+// key; the instance is built only when a tier misses. A profile miss still
+// probes before the result lookup, so the hit and miss counts of any
+// stream are those of building every instance first.
+SolveResponse run_hash_first(const SolverRegistry& registry, WarmState& warm,
+                             const std::string& alg, const SolveOptions& solve,
+                             LazyInstance& instance, SolveResult* full,
+                             telemetry::TraceSpan* parent) {
+  SolveResponse row;
+  Timer timer;
+
+  // `probe` spans the hash, the lookup and, on a miss, the detection. A
+  // build that the miss forces gets a span of its own, and `probe` then
+  // starts after it, so the two never overlap.
+  auto probe_start = std::chrono::steady_clock::now();
+  const std::uint64_t hash = instance.hash();
+  std::optional<CachedProfile> cached = warm.profiles().find(hash);
+  if (!cached.has_value() && !instance.built()) {
+    instance.get(parent);
+    probe_start = std::chrono::steady_clock::now();
+  }
+  telemetry::TraceSpan* probe_span =
+      parent != nullptr ? parent->child("probe", probe_start) : nullptr;
+  if (!cached.has_value()) {
+    // Probed outside the cache's lock: concurrent misses on one instance
+    // race benignly (both insert the same profile).
+    cached = warm.profiles().insert(
+        hash, with_instance(instance.get(parent), [](const auto& i) { return probe(i); }));
+  }
+  if (probe_span != nullptr) {
+    probe_span->set_detail(tier_label(cached->tier));
+    probe_span->end();
+  }
+  const InstanceProfile& profile = cached->profile;
+  row.model = profile.model == kModelUniform ? "uniform" : "unrelated";
+  row.jobs = profile.jobs;
+  row.machines = profile.machines;
+  row.instance_hash = hash_hex(hash);
+  row.cache_tier = cached->tier;
+  row.result_cache_used = true;
+
+  // The ONE key derivation every boundary shares (engine/store/codec.hpp):
+  // instance hash + alg + eps + run_all + budget_ms + key schema.
+  const ResultKey key = make_result_key(hash, alg, solve);
+  CacheTier tier = CacheTier::kMiss;
+  telemetry::TraceSpan* result_span = parent != nullptr ? parent->child("result") : nullptr;
+  std::optional<SolveResult> result = warm.results().lookup(key, &tier);
+  if (result_span != nullptr) {
+    result_span->set_detail(tier_label(tier));
+    result_span->end();
+  }
+  if (result.has_value()) {
+    row.result_tier = tier;
+  } else {
+    const ParsedInstance& parsed = instance.get(parent);
+    telemetry::TraceSpan* solve_span = parent != nullptr ? parent->child("solve") : nullptr;
+    SolveOptions traced = solve;
+    traced.trace = solve_span;
+    result = with_instance(parsed, [&](const auto& inst) {
+      return alg == "auto" ? solve_auto(registry, inst, traced, profile)
+                           : solve_named(registry, alg, inst, traced, profile);
+    });
+    if (solve_span != nullptr) {
+      if (!result->solver.empty()) solve_span->set_detail(result->solver);
+      solve_span->end();
+    }
+    telemetry::ScopedSpan store_span(parent, "store");
+    warm.results().store(key, *result);  // failures are not memoized
+  }
+
+  row.wall_ms = timer.millis();
+  if (!result->ok) {
+    row.error = result->error;
+    return row;
+  }
+  row.ok = true;
+  row.solver = result->solver;
+  row.guarantee = result->guarantee;
+  row.makespan = result->cmax.to_string();
+  row.makespan_value = result->cmax.to_double();
+  if (full != nullptr) *full = std::move(*result);
+  return row;
+}
+
+SolveResponse run_record(const SolverRegistry& registry, WarmState& warm,
+                         const std::string& alg, const SolveOptions& solve,
+                         const InstanceRecord& record, SolveResult* full,
+                         telemetry::TraceSpan* parent) {
+  if (!record.ok()) {
+    SolveResponse row;
+    row.error = "parse error: " + record.error();
+    return row;
+  }
+  LazyInstance instance(record);
+  return run_hash_first(registry, warm, alg, solve, instance, full, parent);
+}
+
+}  // namespace
+
 SolveResponse run_parsed(const SolverRegistry& registry, WarmState& warm,
                          const std::string& alg, const SolveOptions& solve,
                          const ParsedInstance& parsed, SolveResult* full,
                          telemetry::TraceSpan* parent) {
-  SolveResponse row;
-  Timer timer;
   if (!parsed.ok()) {
+    SolveResponse row;
     row.error = "parse error: " + parsed.error;
     return row;
   }
-
-  SolveResult result;
-  const auto dispatch = [&](const auto& inst) {
-    row.jobs = inst.num_jobs();
-    row.machines = inst.num_machines();
-    telemetry::TraceSpan* probe_span =
-        parent != nullptr ? parent->child("probe") : nullptr;
-    const CachedProfile cached = warm.profiles().profile(inst);
-    if (probe_span != nullptr) {
-      probe_span->set_detail(tier_label(cached.tier));
-      probe_span->end();
-    }
-    row.instance_hash = hash_hex(cached.hash);
-    row.cache_tier = cached.tier;
-    row.result_cache_used = true;
-    // The ONE key derivation every boundary shares (engine/store/codec.hpp):
-    // instance hash + alg + eps + run_all + budget_ms + key schema.
-    const ResultKey key = make_result_key(cached.hash, alg, solve);
-    CacheTier tier = CacheTier::kMiss;
-    telemetry::TraceSpan* result_span =
-        parent != nullptr ? parent->child("result") : nullptr;
-    auto hit = warm.results().lookup(key, &tier);
-    if (result_span != nullptr) {
-      result_span->set_detail(tier_label(tier));
-      result_span->end();
-    }
-    if (hit.has_value()) {
-      row.result_tier = tier;
-      return std::move(*hit);
-    }
-    telemetry::TraceSpan* solve_span =
-        parent != nullptr ? parent->child("solve") : nullptr;
-    SolveOptions traced = solve;
-    traced.trace = solve_span;
-    SolveResult fresh = alg == "auto"
-                            ? solve_auto(registry, inst, traced, cached.profile)
-                            : solve_named(registry, alg, inst, traced, cached.profile);
-    if (solve_span != nullptr) {
-      if (!fresh.solver.empty()) solve_span->set_detail(fresh.solver);
-      solve_span->end();
-    }
-    {
-      telemetry::ScopedSpan store_span(parent, "store");
-      warm.results().store(key, fresh);  // failures are not memoized
-    }
-    return fresh;
-  };
-  if (parsed.uniform.has_value()) {
-    row.model = "uniform";
-    result = dispatch(*parsed.uniform);
-  } else {
-    row.model = "unrelated";
-    result = dispatch(*parsed.unrelated);
-  }
-
-  row.wall_ms = timer.millis();
-  if (!result.ok) {
-    row.error = result.error;
-    return row;
-  }
-  row.ok = true;
-  row.solver = result.solver;
-  row.guarantee = result.guarantee;
-  row.makespan = result.cmax.to_string();
-  row.makespan_value = result.cmax.to_double();
-  if (full != nullptr) *full = std::move(result);
-  return row;
+  LazyInstance instance(parsed);
+  return run_hash_first(registry, warm, alg, solve, instance, full, parent);
 }
 
 SolveResponse run_request(const SolverRegistry& registry, WarmState& warm,
@@ -291,12 +362,12 @@ SolveResponse run_request(const SolverRegistry& registry, WarmState& warm,
   } else if (options.budget_ms != 0 && !options.run_all) {
     r.error = "\"budget_ms\" requires \"all\" (it bounds the run-all portfolio)";
   } else if (req.parsed != nullptr) {
-    r = run_parsed(registry, warm, alg, options, *req.parsed, full, &trace->root());
+    r = run_record(registry, warm, alg, options, *req.parsed, full, &trace->root());
   } else if (req.has_inline_text) {
     telemetry::TraceSpan* parse_span = trace->root().child("parse");
-    ParsedInstance parsed = parse_instance(req.inline_text);
+    const InstanceRecord record = parse_instance_record(req.inline_text);
     parse_span->end();
-    r = run_parsed(registry, warm, alg, options, parsed, full, &trace->root());
+    r = run_record(registry, warm, alg, options, record, full, &trace->root());
   } else if (!req.path.empty()) {
     telemetry::TraceSpan* parse_span = trace->root().child("parse");
     std::ifstream file(req.path);
@@ -304,9 +375,9 @@ SolveResponse run_request(const SolverRegistry& registry, WarmState& warm,
       parse_span->end();
       r.error = "cannot open file";
     } else {
-      ParsedInstance parsed = parse_instance(file);
+      const InstanceRecord record = parse_instance_record(file);
       parse_span->end();
-      r = run_parsed(registry, warm, alg, options, parsed, full, &trace->root());
+      r = run_record(registry, warm, alg, options, record, full, &trace->root());
     }
   } else {
     r.error = "no instance source in request";

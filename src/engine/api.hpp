@@ -28,8 +28,8 @@
 //              "spans": [...]}
 //             `id` is present iff the request carried (or was assigned) an
 //             id; batch rows omit it. `wall_ms` is the solve alone;
-//             `elapsed_ms` is the request end to end (parse + probe + cache
-//             + solve) — the value the latency histogram records.
+//             `elapsed_ms` is the request end to end (parse + probe + build
+//             + cache + solve) — the value the latency histogram records.
 //             `trace_id` is present unless timing was stripped (--stable);
 //             `spans` (the telemetry span tree, engine/telemetry/trace.hpp)
 //             only when the request asked for it. The field set is pinned
@@ -58,8 +58,9 @@ namespace bisched::engine {
 
 inline constexpr int kApiVersion = 1;
 
-// One solve request. In-process callers may hand an already-parsed instance
-// (`parsed`); the wire forms carry a file path or the inline native text.
+// One solve request. In-process callers may hand the parser's record of an
+// instance (`parsed`: serve's native bodies, CLI solve); the wire forms
+// carry a file path or the inline native text.
 struct SolveRequest {
   std::string id;  // empty = the executor/serve session assigns one
 
@@ -68,7 +69,7 @@ struct SolveRequest {
   std::string path;
   std::string inline_text;
   bool has_inline_text = false;
-  std::shared_ptr<const ParsedInstance> parsed;  // never on the wire
+  std::shared_ptr<const InstanceRecord> parsed;  // never on the wire
 
   std::string alg;  // registry name or "auto"; empty = caller default
 
@@ -172,22 +173,25 @@ void write_response_csv(std::ostream& out, const SolveResponse& r);
 
 // ------------------------------------------------------------- execution ---
 
-// Solves one already-parsed instance through the warm state (probe cache +
-// result cache, each optionally disk-tiered) + the portfolio. `seq`, `id`,
-// `file`, and parse errors are the caller's to fill in (a !parsed.ok()
-// input yields an error response). If `full` is non-null it receives the
-// complete SolveResult (schedule included) on success — the CLI prints the
-// schedule from it. When `parent` is non-null each stage (probe, result
-// cache, solve dispatch, store) records a child span under it. Thread-safe
-// for concurrent calls sharing `warm` (each call gets its own span subtree).
+// Solves one already-built instance through the warm state (probe cache +
+// result cache, each optionally disk-tiered) + the portfolio, in the same
+// hash-first lookup order run_request takes. `seq`, `id`, `file`, and parse
+// errors are the caller's to fill in (a !parsed.ok() input yields an error
+// response). If `full` is non-null it receives the complete SolveResult
+// (schedule included) on success. When `parent` is non-null each stage
+// (probe, result cache, solve dispatch, store) records a child span under
+// it. Thread-safe for concurrent calls sharing `warm` (each call gets its
+// own span subtree).
 SolveResponse run_parsed(const SolverRegistry& registry, WarmState& warm,
                          const std::string& alg, const SolveOptions& solve,
                          const ParsedInstance& parsed, SolveResult* full = nullptr,
                          telemetry::TraceSpan* parent = nullptr);
 
 // Executes a full request: resolves its source (parsed > inline text > file
-// path), layers its option overrides over `defaults`, dispatches through
-// run_parsed, and stamps id/file. `default_alg` applies when req.alg is
+// path) into the parser's record, layers its option overrides over
+// `defaults`, and answers by the record's hash: the profile tier, then the
+// result key, building the instance only when a tier misses (a `build`
+// span). Stamps id/file. `default_alg` applies when req.alg is
 // empty. The one entry point CLI solve, batch workers, and serve sessions
 // all call — all three therefore share one WarmState vocabulary, one
 // result-key derivation (engine/store/codec.hpp), and one telemetry stream:

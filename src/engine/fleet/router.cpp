@@ -8,12 +8,12 @@
 #include <fstream>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "engine/serve/event_loop.hpp"
 #include "io/format.hpp"
 #include "io/jsonl.hpp"
-#include "sched/instance_hash.hpp"
 #include "util/fnv.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
@@ -31,13 +31,6 @@ constexpr std::chrono::milliseconds kPassBackoff(50);
 // Health probes are cheap and local; they get a short fixed budget rather
 // than the request-path attempt timeout.
 constexpr int kProbeBudgetMs = 1000;
-
-bool key_from_parsed(const ParsedInstance& parsed, std::uint64_t* key) {
-  if (!parsed.ok()) return false;
-  *key = parsed.uniform.has_value() ? instance_hash(*parsed.uniform)
-                                    : instance_hash(*parsed.unrelated);
-  return true;
-}
 
 // Splices the router's admission seq over the backend's in a finished
 // response line. The literal `"seq": ` cannot occur inside a JSON string
@@ -238,6 +231,19 @@ void Router::refresh_backend_gauges() const {
   backends_down_->set(static_cast<double>(down));
 }
 
+std::uint64_t placement_key(const SolveRequest& req) {
+  const auto keyed = [](const InstanceRecord& record, std::string_view fallback) {
+    return record.ok() ? record.hash() : fnv1a(fallback);
+  };
+  if (req.parsed != nullptr) return keyed(*req.parsed, req.parsed->error());
+  if (req.has_inline_text) {
+    return keyed(parse_instance_record(req.inline_text), req.inline_text);
+  }
+  std::ifstream file(req.path);
+  return keyed(file ? parse_instance_record(file) : InstanceRecord::failed("cannot open file"),
+               req.path);
+}
+
 bool Router::try_backend(std::size_t backend, const std::string& frame_line,
                          int budget_ms, std::string* response_line) {
   const int port = supervisor_->port(backend);
@@ -262,45 +268,31 @@ bool Router::try_backend(std::size_t backend, const std::string& frame_line,
 }
 
 std::string Router::route_one(const SolveRequest& req, std::int64_t seq) {
-  // Derive the routing key and the wire form together. A `parsed` source has
-  // no wire form, so it is re-serialized as inline text; file paths are
-  // forwarded as paths (the backend reads the file and owns the canonical
-  // open/parse error texts), with the router parsing only to key placement.
+  // A `parsed` source (a native body) has no wire form, so it is built once
+  // and re-serialized as inline text; inline text and file paths are
+  // forwarded as they are (the backend reads the file and owns the
+  // canonical open/parse error texts).
   SolveRequest wire = req;
   wire.parsed.reset();
-  std::uint64_t key = 0;
   if (req.parsed != nullptr) {
     if (!req.parsed->ok()) {
       requests_error_->inc();
-      return local_error(req.id, seq, req.path, "parse error: " + req.parsed->error);
+      return local_error(req.id, seq, req.path, "parse error: " + req.parsed->error());
     }
-    key_from_parsed(*req.parsed, &key);
+    const ParsedInstance parsed = req.parsed->build();
     std::ostringstream text;
-    if (req.parsed->uniform.has_value()) {
-      write_instance(text, *req.parsed->uniform);
+    if (parsed.uniform.has_value()) {
+      write_instance(text, *parsed.uniform);
     } else {
-      write_instance(text, *req.parsed->unrelated);
+      write_instance(text, *parsed.unrelated);
     }
     wire.inline_text = text.str();
     wire.has_inline_text = true;
-  } else if (req.has_inline_text) {
-    // Unparseable sources key by FNV-1a of the raw string: the backend owns
-    // the canonical error, the router only needs *a* deterministic placement.
-    if (!key_from_parsed(parse_instance(req.inline_text), &key)) {
-      key = fnv1a(req.inline_text);
-    }
-  } else if (!req.path.empty()) {
-    bool keyed = false;
-    std::ifstream file(req.path);
-    if (file) {
-      ParsedInstance parsed = parse_instance(file);
-      keyed = key_from_parsed(parsed, &key);
-    }
-    if (!keyed) key = fnv1a(req.path);
-  } else {
+  } else if (!req.has_inline_text && req.path.empty()) {
     requests_error_->inc();
     return local_error(req.id, seq, req.path, "no instance source in request");
   }
+  const std::uint64_t key = placement_key(req);
   const std::string frame_line = encode_request_json(wire) + "\n";
 
   const std::size_t home = ring_->owner(key);

@@ -165,6 +165,12 @@ class Router final : public SessionHandler {
   SessionSeries series_{session_registry_};
 };
 
+// The hash-ring key of a solve: the instance's content hash, read from the
+// parser's record without building the instance, or FNV-1a of the inline
+// text or the path when the source does not parse (the backend owns the
+// error text; the router needs only a deterministic placement).
+std::uint64_t placement_key(const SolveRequest& req);
+
 // The CLI entry points, mirroring serve/serve_listener: one session over
 // borrowed streams, or the event loop until `shutdown`/SIGTERM. Both return
 // the router's final stats; *error is set on startup/listener failure.

@@ -10,44 +10,52 @@ namespace bisched::engine {
 ProfileCache::ProfileCache(std::size_t max_entries, store::DiskTier* disk)
     : map_(std::max<std::size_t>(1, max_entries)), disk_(disk) {}
 
-template <typename Instance>
-CachedProfile ProfileCache::lookup(const Instance& inst) {
+std::optional<CachedProfile> ProfileCache::find(std::uint64_t hash) {
   CachedProfile out;
-  out.hash = instance_hash(inst);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (const InstanceProfile* found = map_.get(out.hash)) {
-      ++hits_;
-      out.profile = *found;
-      out.tier = CacheTier::kMemory;
-      return out;
-    }
-    if (disk_ != nullptr) {
-      if (const std::string* blob = disk_->get(store::encode_profile_key(out.hash))) {
-        InstanceProfile decoded;
-        if (store::decode_profile(*blob, &decoded)) {
-          ++disk_hits_;
-          map_.put(out.hash, decoded);  // promote: the next lookup is a memory hit
-          out.profile = std::move(decoded);
-          out.tier = CacheTier::kDisk;
-          return out;
-        }
+  out.hash = hash;
+  std::lock_guard<std::mutex> lock(mu_);
+  if (const InstanceProfile* found = map_.get(hash)) {
+    ++hits_;
+    out.profile = *found;
+    out.tier = CacheTier::kMemory;
+    return out;
+  }
+  if (disk_ != nullptr) {
+    if (const std::string* blob = disk_->get(store::encode_profile_key(hash))) {
+      InstanceProfile decoded;
+      if (store::decode_profile(*blob, &decoded)) {
+        ++disk_hits_;
+        map_.put(hash, decoded);  // promote: the next lookup is a memory hit
+        out.profile = std::move(decoded);
+        out.tier = CacheTier::kDisk;
+        return out;
       }
     }
   }
+  return std::nullopt;
+}
+
+CachedProfile ProfileCache::insert(std::uint64_t hash, InstanceProfile profile) {
+  CachedProfile out;
+  out.hash = hash;
+  out.profile = std::move(profile);
+  std::lock_guard<std::mutex> lock(mu_);
+  ++misses_;
+  map_.put(hash, out.profile);
+  if (disk_ != nullptr) {
+    disk_->put(store::encode_profile_key(hash), store::encode_profile(out.profile));
+  }
+  return out;
+}
+
+template <typename Instance>
+CachedProfile ProfileCache::lookup(const Instance& inst) {
+  const std::uint64_t hash = instance_hash(inst);
+  if (auto found = find(hash)) return std::move(*found);
   // Probe outside the lock: concurrent misses on the same instance race
   // benignly (both compute the same profile; the second insert overwrites
   // with an identical value).
-  out.profile = probe(inst);
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++misses_;
-    map_.put(out.hash, out.profile);
-    if (disk_ != nullptr) {
-      disk_->put(store::encode_profile_key(out.hash), store::encode_profile(out.profile));
-    }
-  }
-  return out;
+  return insert(hash, probe(inst));
 }
 
 CachedProfile ProfileCache::profile(const UniformInstance& inst) { return lookup(inst); }

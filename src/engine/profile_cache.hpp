@@ -14,6 +14,12 @@
 // blob once and promotes it into the memory tier), and every fresh probe is
 // written through to the disk tier so the next process starts warm.
 //
+// Lookup by hash: find() asks both tiers with the content hash alone, so a
+// caller holding only io/format's InstanceRecord (the parser's values plus
+// hash) is answered without building the instance; on a miss it builds,
+// probes outside the lock, and settles the miss with insert(). profile()
+// is that sequence for a caller that holds a built instance.
+//
 // Thread-safe: one mutex around both tiers. Lookups are cheap relative to a
 // solve, and the batch/serve workers only touch the cache once per request.
 // Capacity-bounded memory tier for long-lived serve processes: past
@@ -28,6 +34,7 @@
 
 #include <cstdint>
 #include <mutex>
+#include <optional>
 
 #include "engine/lru_map.hpp"
 #include "engine/solver.hpp"
@@ -56,6 +63,13 @@ class ProfileCache {
   ProfileCache(const ProfileCache&) = delete;
   ProfileCache& operator=(const ProfileCache&) = delete;
 
+  // The memory tier, then the disk tier (a disk hit is promoted); nullopt
+  // on a miss, which counts nothing until insert() settles it.
+  std::optional<CachedProfile> find(std::uint64_t hash);
+  // Counts a miss and writes the fresh profile through both tiers.
+  CachedProfile insert(std::uint64_t hash, InstanceProfile profile);
+
+  // find(instance_hash(inst)), and on a miss probe + insert.
   CachedProfile profile(const UniformInstance& inst);
   CachedProfile profile(const UnrelatedInstance& inst);
 

@@ -224,8 +224,10 @@ void SessionEngine::process_input(Session& s) {
     if (s.mode == Session::Mode::kBody) {
       const auto status = s.body.feed(s.rbuf, &s.rpos, s.read_eof);
       if (status == InstanceParser::Status::kNeedMore) break;
-      auto parsed = std::make_shared<ParsedInstance>(s.body.take());
-      if (s.body_frame.bad.empty()) s.body_frame.req.parsed = std::move(parsed);
+      // The record goes to the worker as read: the Graph, if any cache
+      // misses, is built there and never on this thread.
+      auto record = std::make_shared<const InstanceRecord>(s.body.take());
+      if (s.body_frame.bad.empty()) s.body_frame.req.parsed = std::move(record);
       if (status == InstanceParser::Status::kDone) {
         s.mode = Session::Mode::kLine;
         dispatch_frame(s, std::exchange(s.body_frame, Frame{}));

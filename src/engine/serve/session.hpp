@@ -16,12 +16,13 @@
 // Per-session rules, whatever the runner: `quit` ends the session and
 // `shutdown` (from an authorized session) also asks the listener to stop;
 // an instance body is fed to io/format's InstanceParser as its bytes
-// arrive, and a body that fails to parse is discarded through the rest of
-// its failing line, then to the next blank line; work lines leave in the
-// order their frames arrived; a session with pipeline_depth frames of work in
-// flight, a backlog of unwritten responses, or its handler at max_inflight
-// across all sessions stops reading (its reads are *parked*) until
-// completions drain.
+// arrive and reaches the handler as the parser's record (no Graph is built
+// on the runner's thread), and a body that fails to parse is discarded
+// through the rest of its failing line, then to the next blank line; work
+// lines leave in the order their frames arrived; a session with
+// pipeline_depth frames of work in flight, a backlog of unwritten
+// responses, or its handler at max_inflight across all sessions stops
+// reading (its reads are *parked*) until completions drain.
 #pragma once
 
 #include <atomic>
@@ -55,7 +56,7 @@ struct Frame {
 
 // Classifies one trimmed, non-blank, non-comment line. A native `instance`
 // header comes back with *needs_body set and req.parsed still empty: the
-// frame machine parses the body that follows it.
+// frame machine parses the body that follows it into req.parsed.
 Frame classify_frame(const std::string& line, bool* needs_body);
 
 // What a handler sees of the session a frame arrived on.

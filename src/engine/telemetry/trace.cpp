@@ -30,10 +30,17 @@ std::string next_trace_id() {
 }
 
 TraceSpan::TraceSpan(std::string name)
-    : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {}
+    : TraceSpan(std::move(name), std::chrono::steady_clock::now()) {}
+
+TraceSpan::TraceSpan(std::string name, std::chrono::steady_clock::time_point start)
+    : name_(std::move(name)), start_(start) {}
 
 TraceSpan* TraceSpan::child(std::string name) {
   return &children_.emplace_back(std::move(name));
+}
+
+TraceSpan* TraceSpan::child(std::string name, std::chrono::steady_clock::time_point start) {
+  return &children_.emplace_back(std::move(name), start);
 }
 
 void TraceSpan::set_detail(std::string detail) { detail_ = std::move(detail); }

@@ -9,7 +9,9 @@
 //
 //   request
 //   ├── parse             instance IO + native-format parse (wire sources)
-//   ├── probe [tier]      profile cache lookup (detection runs on a miss)
+//   ├── probe [tier]      hash + profile cache lookup (detection runs on a miss)
+//   ├── build             Graph + instance from the parser's record; only
+//   │                     when a cache missed, never inside another span
 //   ├── result [tier]     result cache lookup
 //   ├── solve [solver]    portfolio dispatch; one child per solver tried
 //   │   └── <solver>      the DP / flow / heuristic kernel itself
@@ -36,10 +38,13 @@ std::string next_trace_id();
 class TraceSpan {
  public:
   explicit TraceSpan(std::string name);
+  TraceSpan(std::string name, std::chrono::steady_clock::time_point start);
 
-  // Appends a child (started now) and returns it; the pointer stays valid
-  // for the life of this span (deque storage).
+  // Appends a child and returns it; the pointer stays valid for the life of
+  // this span (deque storage). The child starts now, or at `start` — for a
+  // stage that learns only under way whether it needs a span of its own.
   TraceSpan* child(std::string name);
+  TraceSpan* child(std::string name, std::chrono::steady_clock::time_point start);
 
   // Tier / solver / outcome annotation, rendered as `"detail"` in JSON and
   // `[detail]` in the compact form.

@@ -10,6 +10,28 @@ Graph::Graph(int n) : adj_(static_cast<std::size_t>(n)) {
   BISCHED_CHECK(n >= 0, "graph with negative vertex count");
 }
 
+Graph Graph::from_edges(int n, std::span<const int> endpoints) {
+  BISCHED_CHECK(endpoints.size() % 2 == 0, "edge list with an odd endpoint count");
+  Graph g(n);
+  std::vector<int> degree(static_cast<std::size_t>(n), 0);
+  for (std::size_t i = 0; i < endpoints.size(); i += 2) {
+    const int u = endpoints[i];
+    const int v = endpoints[i + 1];
+    BISCHED_CHECK(u >= 0 && u < n, "edge endpoint out of range");
+    BISCHED_CHECK(v >= 0 && v < n, "edge endpoint out of range");
+    BISCHED_CHECK(u != v, "self-loop not allowed in incompatibility graph");
+    ++degree[static_cast<std::size_t>(u)];
+    ++degree[static_cast<std::size_t>(v)];
+  }
+  for (int u = 0; u < n; ++u) g.adj_[u].reserve(static_cast<std::size_t>(degree[u]));
+  for (std::size_t i = 0; i < endpoints.size(); i += 2) {
+    g.adj_[endpoints[i]].push_back(endpoints[i + 1]);
+    g.adj_[endpoints[i + 1]].push_back(endpoints[i]);
+  }
+  g.num_edges_ = static_cast<std::int64_t>(endpoints.size() / 2);
+  return g;
+}
+
 int Graph::add_vertex() {
   adj_.emplace_back();
   return num_vertices() - 1;

@@ -17,6 +17,12 @@ class Graph {
   Graph() = default;
   explicit Graph(int n);
 
+  // The graph on n vertices with one edge per endpoint pair of `endpoints`
+  // (u0 v0 u1 v1 ...), in one pass: count the degrees, reserve each
+  // adjacency list exactly, then append in input order. The adjacency lists
+  // equal those of add_edge called edge by edge, under the same checks.
+  static Graph from_edges(int n, std::span<const int> endpoints);
+
   int num_vertices() const { return static_cast<int>(adj_.size()); }
   std::int64_t num_edges() const { return num_edges_; }
 

@@ -2,10 +2,13 @@
 
 #include <algorithm>
 #include <charconv>
+#include <functional>
 #include <istream>
 #include <iterator>
 #include <ostream>
 #include <utility>
+
+#include "sched/instance_hash.hpp"
 
 namespace bisched {
 
@@ -46,13 +49,12 @@ Lex next_token(std::string_view bytes, std::size_t* pos, bool eof, std::string_v
 }
 
 // A whole token in base 10: an optional '+' or '-', then digits that fit in
-// int64. An embedded NUL byte also ends the integer, as it does for strtoll
-// over a C string, which this format was first read with.
+// int64, and nothing else (an embedded NUL byte included).
 bool to_int(std::string_view token, std::int64_t* out) {
   if (token.size() > 1 && token[0] == '+' && token[1] != '-') token.remove_prefix(1);
   const char* end = token.data() + token.size();
   const auto [stop, ec] = std::from_chars(token.data(), end, *out);
-  return ec == std::errc() && (stop == end || *stop == '\0');
+  return ec == std::errc() && stop == end;
 }
 
 using Token = std::optional<std::string_view>;  // nullopt: the input ended
@@ -82,6 +84,43 @@ bool any_below(const std::vector<std::int64_t>& values, std::int64_t lo) {
 
 }  // namespace
 
+InstanceRecord InstanceRecord::failed(std::string error) {
+  InstanceRecord record;
+  record.error_ = std::move(error);
+  return record;
+}
+
+std::uint64_t InstanceRecord::hash() const {
+  std::vector<std::int64_t> sorted = speeds_;  // make_uniform_instance's order
+  std::sort(sorted.begin(), sorted.end(), std::greater<>());
+  return content_hash({.uniform = uniform_,
+                       .jobs = jobs_,
+                       .machines = machines_,
+                       .p = p_,
+                       .speeds = sorted,
+                       .times = times_,
+                       .edges = std::ssize(edges_) / 2,
+                       .edge_sum = edge_sum_});
+}
+
+ParsedInstance InstanceRecord::build() const& { return InstanceRecord(*this).build(); }
+
+ParsedInstance InstanceRecord::build() && {
+  ParsedInstance out;
+  if (!ok()) {
+    out.error = std::move(error_);
+    return out;
+  }
+  Graph conflicts = Graph::from_edges(jobs_, edges_);
+  if (uniform_) {
+    out.uniform = make_uniform_instance(std::move(p_), std::move(speeds_), std::move(conflicts));
+  } else {
+    times_.resize(static_cast<std::size_t>(machines_));  // `jobs 0`: m empty rows
+    out.unrelated = make_unrelated_instance(std::move(times_), std::move(conflicts));
+  }
+  return out;
+}
+
 InstanceParser::Status InstanceParser::feed(std::string_view bytes, std::size_t* pos,
                                             bool eof) {
   while (step_ != Step::kDone && step_ != Step::kError) {
@@ -94,12 +133,15 @@ InstanceParser::Status InstanceParser::feed(std::string_view bytes, std::size_t*
 }
 
 void InstanceParser::fail(std::string error) {
-  result_.error = std::move(error);
+  record_.error_ = std::move(error);
   step_ = Step::kError;
 }
 
 // Every step fails on the end of input, so feed() always decides at eof.
 void InstanceParser::on_token(Token token) {
+  InstanceRecord& r = record_;
+  const std::int64_t n = r.jobs_;
+  const std::int64_t m = r.machines_;
   std::int64_t value = 0;
   const bool is_int = token.has_value() && to_int(*token, &value);
   const auto expect = [&](std::string_view word, Step next) {
@@ -123,54 +165,58 @@ void InstanceParser::on_token(Token token) {
       if (token != "uniform" && token != "unrelated") {
         return fail("expected 'uniform' or 'unrelated' header");
       }
-      uniform_ = token == "uniform";
+      r.uniform_ = token == "uniform";
       return enter(Step::kVersion);
     case Step::kVersion:
       return expect("v1", Step::kJobsKw);
     case Step::kJobsKw:
       return expect("jobs", Step::kJobs);
     case Step::kJobs:
-      if (count("jobs", 0, kMaxJobs, &n_)) {
-        enter(uniform_ ? Step::kPKw : Step::kMachinesKw);
+      if (count("jobs", 0, kMaxJobs, &value)) {
+        r.jobs_ = static_cast<int>(value);
+        enter(r.uniform_ ? Step::kPKw : Step::kMachinesKw);
       }
       return;
 
     case Step::kPKw:
       return expect("p", Step::kP);
     case Step::kP:
-      if (!is_int) return fail(ints_error(n_, "p"));
-      p_.push_back(value);
+      if (!is_int) return fail(ints_error(n, "p"));
+      r.p_.push_back(value);
       return enter(Step::kP);
     case Step::kSpeedsKw:
       return expect("speeds", Step::kSpeeds);
     case Step::kSpeeds:
-      if (count("speeds", 1, kMaxMachines, &m_)) enter(Step::kSpeed);
+      if (count("speeds", 1, kMaxMachines, &value)) {
+        r.machines_ = static_cast<int>(value);
+        enter(Step::kSpeed);
+      }
       return;
     case Step::kSpeed:
-      if (!is_int) return fail(ints_error(m_, "speeds"));
-      speeds_.push_back(value);
+      if (!is_int) return fail(ints_error(m, "speeds"));
+      r.speeds_.push_back(value);
       return enter(Step::kSpeed);
 
     case Step::kMachinesKw:
       return expect("machines", Step::kMachines);
     case Step::kMachines:
-      if (count("machines", 1, kMaxMachines, &m_)) enter(Step::kTimesKw);
+      if (count("machines", 1, kMaxMachines, &value)) {
+        r.machines_ = static_cast<int>(value);
+        enter(Step::kTimesKw);
+      }
       return;
     case Step::kTimesKw:
       return expect("times", Step::kTime);
     case Step::kTime:
-      if (!is_int) return fail(ints_error(n_, "times row"));
-      if (times_.empty() || std::ssize(times_.back()) == n_) times_.emplace_back();
-      times_.back().push_back(value);
+      if (!is_int) return fail(ints_error(n, "times row"));
+      if (r.times_.empty() || std::ssize(r.times_.back()) == n) r.times_.emplace_back();
+      r.times_.back().push_back(value);
       return enter(Step::kTime);
 
     case Step::kEdgesKw:
       return expect("edges", Step::kEdges);
     case Step::kEdges:
-      if (count("edges", 0, n_ * n_, &k_)) {
-        graph_ = Graph(static_cast<int>(n_));
-        enter(Step::kEdge);
-      }
+      if (count("edges", 0, n * n, &k_)) enter(Step::kEdge);
       return;
     case Step::kEdge:
       if (!is_int) return fail("expected " + std::to_string(k_) + " edge lines");
@@ -178,11 +224,17 @@ void InstanceParser::on_token(Token token) {
         edge_u_ = value;
         return;
       }
-      if (*edge_u_ < 0 || *edge_u_ >= n_ || value < 0 || value >= n_ || *edge_u_ == value) {
+      if (*edge_u_ < 0 || *edge_u_ >= n || value < 0 || value >= n || *edge_u_ == value) {
         return fail("bad edge (" + std::to_string(*edge_u_) + ", " + std::to_string(value) +
                     ")");
       }
-      graph_.add_edge(static_cast<int>(*edge_u_), static_cast<int>(value));
+      {
+        const int u = static_cast<int>(*edge_u_);
+        const int v = static_cast<int>(value);
+        r.edges_.push_back(u);
+        r.edges_.push_back(v);
+        r.edge_sum_ += edge_hash(std::min(u, v), std::max(u, v));
+      }
       edge_u_.reset();
       return enter(Step::kEdge);
 
@@ -196,35 +248,29 @@ void InstanceParser::on_token(Token token) {
 // and passes on at once, so an empty array (`jobs 0`, `edges 0`) takes no
 // tokens at all.
 void InstanceParser::enter(Step next) {
+  InstanceRecord& r = record_;
   step_ = next;
   switch (step_) {
     case Step::kP:
-      if (std::ssize(p_) < n_) return;
-      if (any_below(p_, 1)) return fail("processing requirements must be >= 1");
+      if (std::ssize(r.p_) < r.jobs_) return;
+      if (any_below(r.p_, 1)) return fail("processing requirements must be >= 1");
       step_ = Step::kSpeedsKw;
       return;
     case Step::kSpeed:
-      if (std::ssize(speeds_) < m_) return;
-      if (any_below(speeds_, 1)) return fail("speeds must be >= 1");
+      if (std::ssize(r.speeds_) < r.machines_) return;
+      if (any_below(r.speeds_, 1)) return fail("speeds must be >= 1");
       step_ = Step::kEdgesKw;
       return;
     case Step::kTime: {
       // Rows are checked one at a time, as each one completes.
-      const bool row_done = !times_.empty() && std::ssize(times_.back()) == n_;
-      if (row_done && any_below(times_.back(), 0)) return fail("times must be >= 0");
-      if (n_ != 0 && !(row_done && std::ssize(times_) == m_)) return;
+      const bool row_done = !r.times_.empty() && std::ssize(r.times_.back()) == r.jobs_;
+      if (row_done && any_below(r.times_.back(), 0)) return fail("times must be >= 0");
+      if (r.jobs_ != 0 && !(row_done && std::ssize(r.times_) == r.machines_)) return;
       step_ = Step::kEdgesKw;
       return;
     }
     case Step::kEdge:
-      if (graph_.num_edges() < k_) return;
-      if (uniform_) {
-        result_.uniform =
-            make_uniform_instance(std::move(p_), std::move(speeds_), std::move(graph_));
-      } else {
-        times_.resize(static_cast<std::size_t>(m_));  // `jobs 0`: m empty rows
-        result_.unrelated = make_unrelated_instance(std::move(times_), std::move(graph_));
-      }
+      if (std::ssize(r.edges_) / 2 < k_) return;
       step_ = Step::kDone;
       return;
     default:
@@ -232,14 +278,14 @@ void InstanceParser::enter(Step next) {
   }
 }
 
-ParsedInstance parse_instance(std::string_view text) {
+InstanceRecord parse_instance_record(std::string_view text) {
   InstanceParser parser;
   std::size_t pos = 0;
   parser.feed(text, &pos, /*eof=*/true);
   return parser.take();
 }
 
-ParsedInstance parse_instance(std::istream& in) {
+InstanceRecord parse_instance_record(std::istream& in) {
   constexpr std::size_t kChunk = std::size_t{64} << 10;
   InstanceParser parser;
   std::string buf;
@@ -256,6 +302,12 @@ ParsedInstance parse_instance(std::istream& in) {
   }
   return parser.take();
 }
+
+ParsedInstance parse_instance(std::string_view text) {
+  return parse_instance_record(text).build();
+}
+
+ParsedInstance parse_instance(std::istream& in) { return parse_instance_record(in).build(); }
 
 std::optional<Schedule> parse_schedule(std::istream& in, std::string* error) {
   std::string local_error;

@@ -12,7 +12,8 @@
 //
 // Whitespace is what istream extraction skips (space, \t, \n, \v, \f, \r);
 // a token that starts with '#' comments out the rest of its line. Integers
-// are base 10 with an optional sign, and must fit in int64.
+// are base 10 with an optional sign, make up the whole token, and must fit
+// in int64.
 //
 // Parsing never aborts: malformed input yields an error string (the CLI and
 // any downstream user gets a diagnosable failure, not a crash). Writers
@@ -41,6 +42,45 @@ struct ParsedInstance {
   bool ok() const { return error.empty(); }
 };
 
+// An instance as the parser read it, before any Graph exists: p, the speeds
+// and the time rows as read, the edge endpoints as one flat list in input
+// order, and the running sum of edge hashes. hash() finishes the content
+// hash from these alone, so a cache can answer without the instance being
+// built; build() makes it. Every value the parser accepts, build() accepts.
+class InstanceRecord {
+ public:
+  InstanceRecord() = default;
+  // A source that could not be read at all, reported like a parse error.
+  static InstanceRecord failed(std::string error);
+
+  bool ok() const { return error_.empty(); }
+  const std::string& error() const { return error_; }
+  bool uniform() const { return uniform_; }
+  int jobs() const { return jobs_; }
+  int machines() const { return machines_; }
+
+  // Equals instance_hash(build()). The FNV pass runs on each call, and
+  // only on a call, so a caller that wants only the instance never pays
+  // for it. Call only on an ok() record.
+  std::uint64_t hash() const;
+  // The instance, or the error of a record that is not ok(). The rvalue
+  // form moves the values into the instance instead of copying them.
+  ParsedInstance build() const&;
+  ParsedInstance build() &&;
+
+ private:
+  friend class InstanceParser;
+
+  std::string error_;
+  bool uniform_ = false;
+  int jobs_ = 0;
+  int machines_ = 0;
+  std::vector<std::int64_t> p_, speeds_;
+  std::vector<std::vector<std::int64_t>> times_;
+  std::vector<int> edges_;      // u0 v0 u1 v1 ..., one pair per edge line
+  std::uint64_t edge_sum_ = 0;  // wrapping sum of edge_hash(min, max) per edge line
+};
+
 // The instance grammar as a resumable push parser over a contiguous buffer.
 // The one instance parser: parse_instance() wraps it, and serve feeds a
 // streamed `instance` body to it straight from the read buffer.
@@ -60,8 +100,8 @@ class InstanceParser {
   enum class Status { kNeedMore, kDone, kError };
 
   Status feed(std::string_view bytes, std::size_t* pos, bool eof);
-  // The outcome once feed() returned kDone or kError. Call once.
-  ParsedInstance take() { return std::move(result_); }
+  // The record once feed() returned kDone or kError. Call once.
+  InstanceRecord take() { return std::move(record_); }
 
  private:
   enum class Step {
@@ -76,17 +116,16 @@ class InstanceParser {
   void fail(std::string error);
 
   Step step_ = Step::kMagic;
-  bool uniform_ = false;
-  std::int64_t n_ = 0, m_ = 0, k_ = 0;  // declared jobs, machines, edges
+  std::int64_t k_ = 0;                  // declared edges
   std::optional<std::int64_t> edge_u_;  // first endpoint of the pending edge
-  std::vector<std::int64_t> p_, speeds_;
-  std::vector<std::vector<std::int64_t>> times_;
-  Graph graph_;
-  ParsedInstance result_;
+  InstanceRecord record_;
 };
 
 // A whole text, or a stream read in 64 KiB chunks until the parser decides
-// (so the stream may be read past the instance's last token).
+// (so the stream may be read past the instance's last token): the record,
+// or the instance built from it.
+InstanceRecord parse_instance_record(std::string_view text);
+InstanceRecord parse_instance_record(std::istream& in);
 ParsedInstance parse_instance(std::string_view text);
 ParsedInstance parse_instance(std::istream& in);
 

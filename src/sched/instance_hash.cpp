@@ -8,6 +8,22 @@ namespace {
 
 void mix_signed(Fnv1a& h, std::int64_t v) { h.u64(static_cast<std::uint64_t>(v)); }
 
+// Edge insertion order is not part of instance identity. Instead of
+// materializing and sorting the edge list (O(E log E) and an allocation on
+// every cache lookup), combine the per-edge hashes with a commutative
+// wrapping sum — order-independent by construction, one pass, no memory.
+std::uint64_t edge_sum(const Graph& g) {
+  std::uint64_t acc = 0;
+  for (int u = 0; u < g.num_vertices(); ++u) {
+    for (int v : g.neighbors(u)) {
+      if (v > u) acc += edge_hash(u, v);
+    }
+  }
+  return acc;
+}
+
+}  // namespace
+
 // splitmix64-style finalizer: each (min, max) edge pair gets a well-mixed
 // 64-bit value of its own.
 std::uint64_t edge_hash(int u, int v) {
@@ -22,44 +38,45 @@ std::uint64_t edge_hash(int u, int v) {
   return x;
 }
 
-// Edge insertion order is not part of instance identity. Instead of
-// materializing and sorting the edge list (O(E log E) and an allocation on
-// every cache lookup), combine the per-edge hashes with a commutative
-// wrapping sum — order-independent by construction, one pass, no memory.
-void mix_edges(Fnv1a& h, const Graph& g) {
-  mix_signed(h, g.num_edges());
-  std::uint64_t acc = 0;
-  for (int u = 0; u < g.num_vertices(); ++u) {
-    for (int v : g.neighbors(u)) {
-      if (v > u) acc += edge_hash(u, v);
+std::uint64_t content_hash(const HashedContent& content) {
+  Fnv1a h;
+  // 'Q' / 'R' model tag: a uniform and an unrelated instance never collide.
+  h.u64(content.uniform ? 0x51u : 0x52u);
+  mix_signed(h, content.jobs);
+  mix_signed(h, content.machines);
+  if (content.uniform) {
+    for (std::int64_t pj : content.p) mix_signed(h, pj);
+    for (std::int64_t s : content.speeds) mix_signed(h, s);
+  } else {
+    for (const auto& row : content.times) {
+      for (std::int64_t t : row) mix_signed(h, t);
     }
   }
-  h.u64(acc);
+  mix_signed(h, content.edges);
+  h.u64(content.edge_sum);
+  return h.value();
 }
 
-}  // namespace
-
 std::uint64_t instance_hash(const UniformInstance& inst) {
-  Fnv1a h;
-  h.u64(0x51u);  // 'Q' model tag: a uniform and an unrelated instance never collide
-  mix_signed(h, inst.num_jobs());
-  mix_signed(h, inst.num_machines());
-  for (std::int64_t pj : inst.p) mix_signed(h, pj);
-  for (std::int64_t s : inst.speeds) mix_signed(h, s);
-  mix_edges(h, inst.conflicts);
-  return h.value();
+  return content_hash({.uniform = true,
+                       .jobs = inst.num_jobs(),
+                       .machines = inst.num_machines(),
+                       .p = inst.p,
+                       .speeds = inst.speeds,
+                       .times = {},
+                       .edges = inst.conflicts.num_edges(),
+                       .edge_sum = edge_sum(inst.conflicts)});
 }
 
 std::uint64_t instance_hash(const UnrelatedInstance& inst) {
-  Fnv1a h;
-  h.u64(0x52u);  // 'R' model tag
-  mix_signed(h, inst.num_jobs());
-  mix_signed(h, inst.num_machines());
-  for (const auto& row : inst.times) {
-    for (std::int64_t t : row) mix_signed(h, t);
-  }
-  mix_edges(h, inst.conflicts);
-  return h.value();
+  return content_hash({.uniform = false,
+                       .jobs = inst.num_jobs(),
+                       .machines = inst.num_machines(),
+                       .p = {},
+                       .speeds = {},
+                       .times = inst.times,
+                       .edges = inst.conflicts.num_edges(),
+                       .edge_sum = edge_sum(inst.conflicts)});
 }
 
 std::string hash_hex(std::uint64_t h) {

@@ -215,13 +215,12 @@ TEST(ApiExecution, RunRequestResolvesEverySourceForm) {
   ASSERT_TRUE(from_text.ok) << from_text.error;
   EXPECT_EQ(from_text.id, "t");
 
-  // Pre-parsed source (the serve `instance` frame path) — same answer, and
-  // the SolveResult out-param carries the schedule.
-  auto parsed = std::make_shared<ParsedInstance>();
+  // Pre-parsed source (the serve `instance` frame path: the parser's
+  // record) — same answer, and the SolveResult out-param carries the
+  // schedule.
   std::istringstream in(text.str());
-  *parsed = parse_instance(in);
   SolveRequest by_parsed;
-  by_parsed.parsed = parsed;
+  by_parsed.parsed = std::make_shared<const InstanceRecord>(parse_instance_record(in));
   engine::SolveResult full;
   const auto from_parsed =
       engine::run_request(registry, warm, by_parsed, "auto", {}, &full);

@@ -33,6 +33,7 @@
 #include "io/format.hpp"
 #include "sched/instance_hash.hpp"
 #include "testing_util.hpp"
+#include "util/fnv.hpp"
 #include "util/prng.hpp"
 
 namespace bisched {
@@ -82,6 +83,45 @@ TEST(HashRing, SingleBackendOwnsEverything) {
     EXPECT_EQ(ring.owner(key), 0u);
     EXPECT_EQ(ring.candidates(key), std::vector<std::size_t>{0});
   }
+}
+
+// -------------------------------------------------------------- placement ---
+
+TEST(RouterPlacement, KeysByTheContentHashAndFallsBackToTheSourceText) {
+  Rng rng(83);
+  const auto inst = testing::random_uniform_instance(5, 4, 3, 9, 6, rng);
+  std::ostringstream text;
+  write_instance(text, inst);
+  const std::uint64_t want = instance_hash(inst);
+
+  engine::SolveRequest by_text;
+  by_text.inline_text = text.str();
+  by_text.has_inline_text = true;
+  EXPECT_EQ(engine::fleet::placement_key(by_text), want);
+
+  engine::SolveRequest by_record;
+  by_record.parsed = std::make_shared<const InstanceRecord>(parse_instance_record(text.str()));
+  EXPECT_EQ(engine::fleet::placement_key(by_record), want);
+
+  const auto dir = fs::temp_directory_path() / "bisched_placement_key";
+  fs::create_directories(dir);
+  engine::SolveRequest by_path;
+  by_path.path = (dir / "q.inst").string();
+  {
+    std::ofstream f(by_path.path);
+    f << text.str();
+  }
+  EXPECT_EQ(engine::fleet::placement_key(by_path), want);
+  fs::remove_all(dir);
+
+  // Sources that do not parse key by their own text, deterministically.
+  engine::SolveRequest garbage;
+  garbage.inline_text = "bisched uniform v1\njobs two\n";
+  garbage.has_inline_text = true;
+  EXPECT_EQ(engine::fleet::placement_key(garbage), fnv1a(garbage.inline_text));
+  engine::SolveRequest missing;
+  missing.path = "/nonexistent/placement.inst";
+  EXPECT_EQ(engine::fleet::placement_key(missing), fnv1a(missing.path));
 }
 
 // ---------------------------------------------------------------- health ---

@@ -13,17 +13,21 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <algorithm>
 #include <cstring>
 #include <thread>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "engine/fault.hpp"
+#include "engine/portfolio.hpp"
 #include "io/format.hpp"
 #include "io/jsonl.hpp"
+#include "sched/instance_hash.hpp"
 #include "testing_util.hpp"
 #include "util/prng.hpp"
 
@@ -113,6 +117,116 @@ TEST(Serve, AnswersEveryFrameFormAndReusesTheCache) {
   };
   EXPECT_EQ(field(first, "\"hash\": "), field(second, "\"hash\": "));
   EXPECT_EQ(field(first, "\"makespan\": "), field(second, "\"makespan\": "));
+
+  // Hash first, for each source form (inline JSON text, path, native body):
+  // a first request builds its instance once, in a `build` span that is a
+  // direct child of `request`; a repeat is a memory hit that builds
+  // nothing; a new alg for a known instance (profile hit, result miss)
+  // builds once to solve. The answers are those of solving the built
+  // instance, and the caches count as if every request had built first.
+  const UniformInstance forms[] = {testing::random_uniform_instance(4, 4, 2, 3, 3, rng),
+                                   testing::random_uniform_instance(4, 4, 2, 3, 3, rng),
+                                   testing::random_uniform_instance(4, 4, 2, 3, 3, rng)};
+  const auto dir = fs::temp_directory_path() / "bisched_serve_hash_first";
+  fs::create_directories(dir);
+  const std::string path = (dir / "b.inst").string();
+  {
+    std::ofstream f(path);
+    write_instance(f, forms[1]);
+  }
+  const std::string inline_a = json_quote(instance_text(forms[0]));
+  std::ostringstream stream;
+  stream << "{\"id\": \"a1\", \"instance\": " << inline_a << "}\n"
+         << "{\"id\": \"a2\", \"instance\": " << inline_a << "}\n"
+         << "solve " << path << " b1\n"
+         << "solve " << path << " b2\n"
+         << "instance c1\n" << instance_text(forms[2])
+         << "instance c2\n" << instance_text(forms[2])
+         << "{\"id\": \"a-split\", \"instance\": " << inline_a << ", \"alg\": \"split\"}\n"
+         << "instance a-native\n" << instance_text(forms[0]);
+  engine::WarmState warm;
+  std::istringstream hash_in(stream.str());
+  std::ostringstream hash_out;
+  std::ostringstream slow;
+  ServeOptions traced = options;
+  traced.slow_ms = 0;  // every solve's span tree goes to the slow log
+  traced.slow_log = &slow;
+  engine::serve(SolverRegistry::builtin(), hash_in, hash_out, traced, &warm);
+
+  struct Expect {
+    const char* id;
+    int form;
+    const char* cache;
+    const char* solve_cache;
+    int builds;
+  };
+  const Expect expected[] = {
+      {"a1", 0, "miss", "miss", 1},         {"a2", 0, "hit-memory", "hit-memory", 0},
+      {"b1", 1, "miss", "miss", 1},         {"b2", 1, "hit-memory", "hit-memory", 0},
+      {"c1", 2, "miss", "miss", 1},         {"c2", 2, "hit-memory", "hit-memory", 0},
+      {"a-split", 0, "hit-memory", "miss", 1}, {"a-native", 0, "hit-memory", "hit-memory", 0},
+  };
+  std::map<std::string, std::map<std::string, std::string>> responses;
+  for (const std::string& line : lines_of(hash_out.str())) {
+    std::string error;
+    auto object = parse_flat_json_object(line, &error);
+    ASSERT_TRUE(object.has_value()) << error << " in " << line;
+    responses[object->at("id")] = std::move(*object);
+  }
+  std::map<std::string, std::string> spans;
+  for (const std::string& line : lines_of(slow.str())) {
+    const auto id_at = line.find(" id=");
+    ASSERT_NE(id_at, std::string::npos) << line;
+    const std::string id = line.substr(id_at + 4, line.find(' ', id_at + 4) - id_at - 4);
+    spans[id] = line.substr(line.find(" spans=") + 7);
+  }
+  for (const Expect& e : expected) {
+    SCOPED_TRACE(e.id);
+    ASSERT_EQ(responses.count(e.id), 1u) << hash_out.str();
+    const auto& r = responses.at(e.id);
+    const UniformInstance& inst = forms[e.form];
+    const std::string alg = std::string(e.id) == "a-split" ? "split" : "auto";
+    const auto want = alg == "auto" ? engine::solve_auto(SolverRegistry::builtin(), inst, {})
+                                    : engine::solve_named(SolverRegistry::builtin(), alg,
+                                                          inst, {}, engine::probe(inst));
+    EXPECT_EQ(r.at("status"), "ok");
+    EXPECT_EQ(r.at("hash"), hash_hex(instance_hash(inst)));
+    EXPECT_EQ(r.at("jobs"), std::to_string(inst.num_jobs()));
+    EXPECT_EQ(r.at("machines"), std::to_string(inst.num_machines()));
+    EXPECT_EQ(r.at("solver"), want.solver);
+    EXPECT_EQ(r.at("makespan"), want.cmax.to_string());
+    EXPECT_EQ(r.at("cache"), e.cache);
+    EXPECT_EQ(r.at("solve_cache"), e.solve_cache);
+    EXPECT_EQ(r.at("elapsed_ms"), "0");  // stable output: timing only differs
+    // Each build span sits directly under `request`, beside the others.
+    const std::string& tree = spans.at(e.id);
+    int builds = 0;
+    for (auto at = tree.find("build:"); at != std::string::npos;
+         at = tree.find("build:", at + 1)) {
+      ++builds;
+      const std::string before = tree.substr(0, at);
+      EXPECT_EQ(std::count(before.begin(), before.end(), '(') -
+                    std::count(before.begin(), before.end(), ')'),
+                1)
+          << tree;
+    }
+    EXPECT_EQ(builds, e.builds) << tree;
+  }
+
+  // The stats frame of a second session sees the settled counts.
+  std::istringstream stats_in("stats s\n");
+  std::ostringstream stats_out;
+  engine::serve(SolverRegistry::builtin(), stats_in, stats_out, options, &warm);
+  std::string stats_line = stats_out.str();
+  stats_line.pop_back();
+  std::string error;
+  const auto counts = parse_flat_json_object(stats_line, &error);
+  ASSERT_TRUE(counts.has_value()) << error;
+  EXPECT_EQ(counts->at("profile_misses"), "3");
+  EXPECT_EQ(counts->at("profile_hits_memory"), "5");
+  EXPECT_EQ(counts->at("result_misses"), "4");
+  EXPECT_EQ(counts->at("result_hits_memory"), "4");
+  fs::remove_all(dir);
 }
 
 TEST(Serve, MalformedInlineBodyYieldsOneErrorAndResynchronizes) {

@@ -88,6 +88,30 @@ TEST(Graph, AppendDisjoint) {
   EXPECT_FALSE(g.has_edge(1, 2));
 }
 
+TEST(Graph, FromEdgesMatchesAddEdgeOneByOne) {
+  // Duplicate edges included: they count twice, as add_edge counts them.
+  const std::vector<int> endpoints = {0, 3, 2, 1, 3, 1, 0, 1, 3, 0, 4, 2, 1, 2};
+  Graph one_by_one(6);
+  for (std::size_t i = 0; i < endpoints.size(); i += 2) {
+    one_by_one.add_edge(endpoints[i], endpoints[i + 1]);
+  }
+  const Graph built = Graph::from_edges(6, endpoints);
+  ASSERT_EQ(built.num_vertices(), one_by_one.num_vertices());
+  EXPECT_EQ(built.num_edges(), 7);
+  EXPECT_EQ(built.num_edges(), one_by_one.num_edges());
+  for (int u = 0; u < built.num_vertices(); ++u) {
+    EXPECT_EQ(built.neighbors(u), one_by_one.neighbors(u)) << u;
+  }
+  EXPECT_EQ(Graph::from_edges(3, {}).num_edges(), 0);
+}
+
+TEST(GraphDeath, FromEdgesKeepsAddEdgesChecks) {
+  const std::vector<int> loop = {0, 1, 2, 2};
+  EXPECT_DEATH(Graph::from_edges(3, loop), "self-loop");
+  const std::vector<int> out_of_range = {0, 3};
+  EXPECT_DEATH(Graph::from_edges(3, out_of_range), "out of range");
+}
+
 TEST(GraphDeath, SelfLoopRejected) {
   Graph g(2);
   EXPECT_DEATH(g.add_edge(1, 1), "self-loop");

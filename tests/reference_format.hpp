@@ -43,13 +43,17 @@ class Tokens {
     return std::nullopt;
   }
 
+  // The whole token must be the integer: strtoll stops at an embedded NUL
+  // byte, which must then be the token's end, as in the shipped parser.
   bool next_int(std::int64_t* out) {
     const auto token = next();
     if (!token.has_value()) return false;
     errno = 0;
     char* end = nullptr;
     const long long value = std::strtoll(token->c_str(), &end, 10);
-    if (end == token->c_str() || *end != '\0' || errno != 0) return false;
+    if (end == token->c_str() || end != token->c_str() + token->size() || errno != 0) {
+      return false;
+    }
     *out = value;
     return true;
   }

@@ -233,15 +233,15 @@ void print_cache_stats(const engine::ProfileCache::Stats& probe,
 
 // --------------------------------------------------------------------- io ---
 
-ParsedInstance read_instance(const std::string& path) {
-  if (path == "-" || path.empty()) return parse_instance(std::cin);
+InstanceRecord read_instance_record(const std::string& path) {
+  if (path == "-" || path.empty()) return parse_instance_record(std::cin);
   std::ifstream file(path);
-  if (!file) {
-    ParsedInstance bad;
-    bad.error = "cannot open '" + path + "'";
-    return bad;
-  }
-  return parse_instance(file);
+  if (!file) return InstanceRecord::failed("cannot open '" + path + "'");
+  return parse_instance_record(file);
+}
+
+ParsedInstance read_instance(const std::string& path) {
+  return read_instance_record(path).build();
 }
 
 // ------------------------------------------------------------------ solve ---
@@ -275,24 +275,24 @@ int cmd_solve(int argc, char** argv) {
   // One request through the engine API — the same construct/execute/emit
   // path batch rows and serve responses take, warm state included: with
   // --store=DIR a repeated solve is answered from the disk tier of a
-  // previous process. The instance is parsed up front (once) for the stderr
-  // summary line; the request carries the parsed form plus the path as its
-  // label.
+  // previous process. The instance is read up front (once) and the request
+  // carries the parser's record plus the path as its label; the stderr
+  // summary line builds the instance from the record for its lower bound.
   const auto& registry = engine::SolverRegistry::builtin();
   const auto warm = make_warm_state(argc, argv);
-  auto parsed = std::make_shared<ParsedInstance>(read_instance(path));
-  request.parsed = parsed;
+  auto record = std::make_shared<const InstanceRecord>(read_instance_record(path));
+  request.parsed = record;
   if (path != "-" && !path.empty()) request.path = path;
 
-  if (parsed->ok()) {
-    if (parsed->uniform.has_value()) {
-      const UniformInstance& inst = *parsed->uniform;
-      std::cerr << "uniform instance: " << inst.num_jobs() << " jobs, "
-                << inst.num_machines() << " machines, lower bound "
-                << lower_bound(inst).to_string() << "\n";
+  if (record->ok()) {
+    if (record->uniform()) {
+      const ParsedInstance parsed = record->build();
+      std::cerr << "uniform instance: " << record->jobs() << " jobs, " << record->machines()
+                << " machines, lower bound " << lower_bound(*parsed.uniform).to_string()
+                << "\n";
     } else {
-      std::cerr << "unrelated instance: " << parsed->unrelated->num_jobs()
-                << " jobs, " << parsed->unrelated->num_machines() << " machines\n";
+      std::cerr << "unrelated instance: " << record->jobs() << " jobs, "
+                << record->machines() << " machines\n";
     }
   }
 
@@ -310,7 +310,7 @@ int cmd_solve(int argc, char** argv) {
     engine::write_response_json(std::cout, response);
   }
   if (!response.ok) {
-    std::cerr << (parsed->ok() ? "solve failed: " : "") << response.error << "\n";
+    std::cerr << (record->ok() ? "solve failed: " : "") << response.error << "\n";
     return 1;
   }
   if (!json) write_schedule(std::cout, result.schedule);
@@ -586,7 +586,8 @@ int cmd_serve(int argc, char** argv) {
   checkpoint_warm(*warm);
   std::cerr << "serve: " << stats.requests << " requests (" << stats.solve_frames
             << " solve, " << stats.stats_frames << " stats, " << stats.metrics_frames
-            << " metrics, " << stats.malformed << " malformed), " << stats.ok
+            << " metrics, " << stats.auth_frames << " auth, " << stats.malformed
+            << " malformed), " << stats.ok
             << " ok, " << stats.errors << " errors, " << stats.sessions
             << " sessions, ";
   print_cache_stats(stats.cache, stats.results);
