@@ -146,6 +146,7 @@ Router::Router(const RouterOptions& options, std::string* error)
   supervisor_ = std::make_unique<Supervisor>(std::move(sup));
   health_ = std::make_unique<HealthTracker>(options_.fleet, options_.unhealthy_after);
   ring_ = std::make_unique<HashRing>(options_.fleet);
+  idle_ = std::make_unique<IdleConnections[]>(options_.fleet);
   seen_generation_.assign(options_.fleet, 0);
 
   if (!supervisor_->start(error)) {
@@ -170,6 +171,9 @@ Router::~Router() {
   stop_maintenance_.store(true);
   if (maintenance_.joinable()) maintenance_.join();
   if (pool_ != nullptr) pool_->wait_idle();
+  // Idle connections close first: each backend sees its sessions end
+  // before its SIGTERM.
+  idle_.reset();
   if (supervisor_ != nullptr) supervisor_->stop();
 }
 
@@ -188,8 +192,9 @@ void Router::maintenance_loop() {
       }
     }
 
-    // Probe each running backend with a `stats` frame: liveness of the whole
-    // serve path (accept, parse, inline answer), not just the process. The
+    // Probe each running backend with a `stats` frame over the same
+    // connection checkout requests take: liveness of the serve path as
+    // requests reach it (parse, inline answer), not just the process. The
     // tracker needs unhealthy_after consecutive misses before demoting.
     const auto now = std::chrono::steady_clock::now();
     if (now - last_probe >=
@@ -246,25 +251,58 @@ std::uint64_t placement_key(const SolveRequest& req) {
 
 bool Router::try_backend(std::size_t backend, const std::string& frame_line,
                          int budget_ms, std::string* response_line) {
-  const int port = supervisor_->port(backend);
-  if (port <= 0) return false;
-  std::string error;
-  const int connect_ms =
-      std::max(1, std::min(options_.connect_timeout_ms, budget_ms));
-  const int fd = tcp_connect("127.0.0.1", port, &error, connect_ms);
-  if (fd < 0) return false;
-  // The read deadline is what turns a stalled/wedged backend into a retry:
-  // SO_RCVTIMEO fires, FdStreambuf surfaces EOF, this attempt fails.
+  // The generation is read before the port: a respawn in between tags the
+  // new process's connection with the old generation, and the next
+  // checkout merely closes it.
+  const std::uint64_t generation = supervisor_->generation(backend);
+  Connection connection = checkout(backend, generation);
+  if (connection.transport == nullptr) {
+    const int port = supervisor_->port(backend);
+    if (port <= 0) return false;
+    std::string error;
+    const int connect_ms =
+        std::max(1, std::min(options_.connect_timeout_ms, budget_ms));
+    const int fd = tcp_connect("127.0.0.1", port, &error, connect_ms);
+    if (fd < 0) return false;
+    connection = {std::make_unique<FdTransport>(fd, "backend-" + std::to_string(backend)),
+                  generation};
+  }
+  // Every attempt re-arms the deadline, reused connection or not. It is
+  // what turns a stalled/wedged backend into a retry: SO_RCVTIMEO fires,
+  // FdStreambuf surfaces EOF, this attempt fails, and the connection (which
+  // may still receive the late answer) is closed with it.
+  FdTransport& transport = *connection.transport;
   const int io_ms = std::max(1, std::min(options_.attempt_timeout_ms, budget_ms));
-  set_io_timeout(fd, io_ms, io_ms);
-  FdTransport transport(fd, "backend-" + std::to_string(backend));
+  set_io_timeout(transport.fd(), io_ms, io_ms);
   transport.out() << frame_line << std::flush;
   if (!transport.out()) return false;
   std::string line;
-  if (!std::getline(transport.in(), line)) return false;
+  // A line cut off by EOF is a connection dropped mid-response.
+  if (!std::getline(transport.in(), line) || transport.in().eof()) return false;
   if (line.empty() || line[0] != '{') return false;
   *response_line = line + "\n";
-  return true;  // the transport's destructor closes the fd = backend session EOF
+  // Back to the pool only with nothing unread: a later request must never
+  // read a line this one did not ask for.
+  if (transport.in().rdbuf()->in_avail() == 0) checkin(backend, std::move(connection));
+  return true;
+}
+
+Router::Connection Router::checkout(std::size_t backend, std::uint64_t generation) {
+  IdleConnections& idle = idle_[backend];
+  std::lock_guard<std::mutex> lock(idle.mu);
+  std::erase_if(idle.stack, [generation](const Connection& connection) {
+    return connection.generation < generation;
+  });
+  if (idle.stack.empty()) return {};
+  Connection connection = std::move(idle.stack.back());
+  idle.stack.pop_back();
+  return connection;
+}
+
+void Router::checkin(std::size_t backend, Connection connection) {
+  IdleConnections& idle = idle_[backend];
+  std::lock_guard<std::mutex> lock(idle.mu);
+  idle.stack.push_back(std::move(connection));
 }
 
 std::string Router::route_one(const SolveRequest& req, std::int64_t seq) {

@@ -19,7 +19,13 @@
 //               candidate in ring order, healthy candidates first, under one
 //               per-request deadline budget. Only when the budget is spent
 //               with no answer does the client see a structured
-//               `degraded:` error response.
+//               `degraded:` error response. Attempts and health probes run
+//               over pooled connections: each backend keeps a stack of idle
+//               ones dialed to its current process, a new one is dialed
+//               only when none is idle, and a connection goes back only
+//               after a clean one-line exchange. A failure closes it, so a
+//               dropped pooled connection is one failed attempt, exactly
+//               as a refused dial is.
 //   supervision backends are spawned and kept alive by supervisor.hpp
 //               (exponential-backoff respawn, restart-storm breaker);
 //               health.hpp tracks who is answering (periodic `stats` probes
@@ -41,6 +47,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -116,14 +123,37 @@ class Router final : public SessionHandler {
   SessionSeries& series() override { return series_; }
 
  private:
+  // A connection to one backend process, tagged with the supervisor
+  // generation it was dialed for.
+  struct Connection {
+    std::unique_ptr<FdTransport> transport;
+    std::uint64_t generation = 0;
+  };
+  // One backend's idle connections, most recently used last. No more are
+  // ever open than threads that attempt at once (the routing workers plus
+  // the maintenance thread): a dial happens only when none is idle.
+  struct IdleConnections {
+    std::mutex mu;
+    std::vector<Connection> stack;
+  };
+
   void maintenance_loop();
   void refresh_backend_gauges() const;
   // Routes one solve to the fleet and returns the finished response LINE
   // (newline included) — backend-served with seq/id spliced, or a locally
   // built error/degraded response.
   std::string route_one(const SolveRequest& req, std::int64_t seq);
+  // One attempt: sends `frame_line` over a checked-out connection to
+  // `backend` (dialing one when none is idle) and reads one response line,
+  // with the connect and read/write deadlines clamped to `budget_ms`. True
+  // with *response_line set on a clean exchange, which returns the
+  // connection to the pool; any failure closes it.
   bool try_backend(std::size_t backend, const std::string& frame_line,
                    int budget_ms, std::string* response_line);
+  // Pops the most recently used idle connection to `backend`, closing any
+  // dialed for a generation before `generation`; empty when none is left.
+  Connection checkout(std::size_t backend, std::uint64_t generation);
+  void checkin(std::size_t backend, Connection connection);
   std::string stats_frame_json(const std::string& id, std::int64_t seq) const;
   std::string metrics_frame_json(const std::string& id, std::int64_t seq) const;
 
@@ -133,6 +163,7 @@ class Router final : public SessionHandler {
   std::unique_ptr<HealthTracker> health_;
   std::unique_ptr<HashRing> ring_;
   std::unique_ptr<ThreadPool> pool_;
+  std::unique_ptr<IdleConnections[]> idle_;  // one per backend
   std::size_t max_inflight_ = 0;
   const std::chrono::steady_clock::time_point start_ =
       std::chrono::steady_clock::now();

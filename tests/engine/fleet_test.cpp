@@ -4,8 +4,11 @@
 // crashing one mid-batch, where every client request must still be answered
 // (retried/failed-over invisibly) and the responses must match a
 // single-backend run byte-for-byte modulo placement provenance; a backend
-// SIGKILLed mid-stream costing no client-visible error; and pipelined
-// responses coming back from the router in send order.
+// SIGKILLed mid-stream costing no client-visible error; pooled backend
+// connections (reused on warm traffic, closed after a failed attempt,
+// dropped when their backend respawns); pipelined responses coming back
+// from the router in send order; and `client --pipeline` windowing native
+// bodies and failing on unanswered frames.
 #include "engine/fleet/hash_ring.hpp"
 
 #include <gtest/gtest.h>
@@ -29,6 +32,8 @@
 #include "engine/fault.hpp"
 #include "engine/fleet/health.hpp"
 #include "engine/fleet/router.hpp"
+#include "engine/registry.hpp"
+#include "engine/serve.hpp"
 #include "engine/transport.hpp"
 #include "io/format.hpp"
 #include "sched/instance_hash.hpp"
@@ -507,6 +512,159 @@ TEST(FleetKill, SigkillOfABackendMidStreamCostsNoClientErrors) {
   EXPECT_GT(stats.retries + stats.failovers, 0u) << "the kill never cost a detour";
 }
 
+// --------------------------------------------------- pooled connections ---
+
+std::string native_frames(const std::vector<UniformInstance>& instances,
+                          const std::string& id_prefix) {
+  std::ostringstream frames;
+  for (std::size_t i = 0; i < instances.size(); ++i) {
+    frames << "instance " << id_prefix << i << "\n";
+    write_instance(frames, instances[i]);
+  }
+  return frames.str();
+}
+
+// One stdio session through `router`; `frames` ends with `quit`.
+std::vector<std::string> route_session(engine::fleet::Router& router,
+                                       const std::string& frames) {
+  std::istringstream in(frames);
+  std::ostringstream out;
+  engine::serve_stream(router, in, out);
+  std::vector<std::string> lines;
+  std::istringstream stream(out.str());
+  for (std::string line; std::getline(stream, line);) lines.push_back(line);
+  return lines;
+}
+
+// Backend `i`'s own `stats` frame, read on a connection of its own.
+std::string backend_stats(engine::fleet::Router& router, std::size_t i) {
+  std::string error;
+  const int fd = engine::tcp_connect("127.0.0.1", router.supervisor().port(i), &error);
+  if (fd < 0) return error;
+  engine::FdTransport backend(fd, "scrape");
+  backend.out() << "stats scrape\n" << std::flush;
+  std::string line;
+  std::getline(backend.in(), line);
+  return line;
+}
+
+// Warm traffic reuses backend connections: a backend session per attempt
+// would make 200 routed solves cost at least 200 sessions; the pool opens
+// no more than there are threads attempting at once.
+TEST(FleetPool, RoutedSolvesReuseBackendConnections) {
+  Rng rng(80);
+  std::vector<UniformInstance> instances;
+  for (int i = 0; i < 20; ++i) {
+    instances.push_back(testing::random_uniform_instance(4, 4, 2, 3, 3, rng));
+  }
+  std::string frames;
+  for (int rep = 0; rep < 10; ++rep) {
+    frames += native_frames(instances, "r" + std::to_string(rep) + "-");
+  }
+
+  std::string error;
+  engine::fleet::Router router(two_backend_options(), &error);
+  ASSERT_TRUE(router.ok()) << error;
+  const auto lines = route_session(router, frames + "quit\n");
+  ASSERT_EQ(lines.size(), 200u);
+  for (const std::string& line : lines) {
+    EXPECT_NE(line.find("\"status\": \"ok\""), std::string::npos) << line;
+  }
+
+  long sessions = 0;
+  for (std::size_t i = 0; i < 2; ++i) {
+    const std::string stats = backend_stats(router, i);
+    ASSERT_NE(stats.find("\"type\": \"stats\""), std::string::npos) << stats;
+    sessions += json_long(stats, "\"sessions\": ");
+  }
+  // Per backend: the routing workers (2 * fleet by default) plus the
+  // maintenance thread's probes; each scrape adds its own session.
+  const long threads = 2 * 2 + 1;
+  EXPECT_LE(sessions, 2 * threads + 2);
+  EXPECT_EQ(router.stats().retries, 0u);
+}
+
+// A connection whose attempt timed out is closed, never checked out again:
+// backend 0 stalls every solve past the attempt deadline, so each request
+// homed on it times out there and is answered by backend 1, while backend 0
+// still writes its late answers. A reused connection would hand one of
+// them to a later request.
+TEST(FleetPool, ATimedOutConnectionIsNeverReused) {
+  FaultEnvGuard guard;
+  ASSERT_EQ(::setenv("BISCHED_FAULT", "backend=0;stall-ms:300", 1), 0);
+  Rng rng(81);
+  const auto homed = homed_instances(0, 6, rng);
+
+  engine::fleet::RouterOptions options = two_backend_options();
+  options.threads = 1;  // one attempt at a time, in request order
+  options.attempt_timeout_ms = 100;
+  // Backend 0 stays the first candidate however often it times out.
+  options.unhealthy_after = 1000;
+  std::string error;
+  engine::fleet::Router router(options, &error);
+  ASSERT_TRUE(router.ok()) << error;
+  const auto lines = route_session(router, native_frames(homed, "late-") + "quit\n");
+
+  ASSERT_EQ(lines.size(), homed.size());
+  for (std::size_t i = 0; i < homed.size(); ++i) {
+    EXPECT_NE(lines[i].find("\"id\": \"late-" + std::to_string(i) + "\""),
+              std::string::npos)
+        << lines[i];
+    EXPECT_NE(lines[i].find("\"hash\": \"" + hash_hex(instance_hash(homed[i])) + "\""),
+              std::string::npos)
+        << lines[i];
+    EXPECT_NE(lines[i].find("\"status\": \"ok\""), std::string::npos) << lines[i];
+  }
+  const auto stats = router.stats();
+  EXPECT_EQ(stats.errors, 0u);
+  EXPECT_EQ(stats.failovers, homed.size());
+}
+
+// A respawned slot is never tried over its predecessor's connections: the
+// pool holds connections to backend 0 when it is SIGKILLed, and once the
+// slot runs again under a new generation, the solves homed on it are
+// answered there at the first attempt.
+TEST(FleetKill, RespawnedBackendIsNeverTriedOverItsPredecessorsConnections) {
+  Rng rng(82);
+  const auto warm = homed_instances(0, 4, rng);
+  const auto later = homed_instances(0, 4, rng);
+
+  engine::fleet::RouterOptions options = two_backend_options();
+  // No health probes: one would fail on a dead process's connection and
+  // close it before the respawned slot is routed to.
+  options.health_interval_ms = 600000;
+  std::string error;
+  engine::fleet::Router router(options, &error);
+  ASSERT_TRUE(router.ok()) << error;
+  for (const std::string& line : route_session(router, native_frames(warm, "warm-") + "quit\n")) {
+    EXPECT_NE(line.find("\"status\": \"ok\""), std::string::npos) << line;
+  }
+
+  engine::fleet::Supervisor& supervisor = router.supervisor();
+  const std::uint64_t generation = supervisor.generation(0);
+  ASSERT_EQ(::kill(supervisor.pid(0), SIGKILL), 0);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while ((supervisor.generation(0) == generation ||
+          supervisor.state(0) != engine::fleet::BackendState::kRunning) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_GT(supervisor.generation(0), generation);
+  ASSERT_EQ(supervisor.state(0), engine::fleet::BackendState::kRunning);
+
+  const auto before = router.stats();
+  const auto lines = route_session(router, native_frames(later, "later-") + "quit\n");
+  ASSERT_EQ(lines.size(), later.size());
+  for (const std::string& line : lines) {
+    EXPECT_NE(line.find("\"status\": \"ok\""), std::string::npos) << line;
+  }
+  const auto after = router.stats();
+  EXPECT_EQ(after.retries, before.retries);
+  EXPECT_EQ(after.failovers, before.failovers);
+  EXPECT_EQ(json_long(backend_stats(router, 0), "\"solve_frames\": "),
+            static_cast<long>(later.size()));
+}
+
 // Pipelined through a routing listener, a slow solve followed by three
 // fast ones: the fast ones finish first on the backends, and the router
 // must still answer in send order (`client --pipeline` exits 1 otherwise).
@@ -556,6 +714,87 @@ TEST(FleetCli, PipelinedResponsesComeBackInSendOrder) {
   }
   EXPECT_EQ(ids, (std::vector<std::string>{"slow", "fast1", "fast2", "fast3"}));
   listener.reset();
+  fs::remove_all(dir);
+}
+
+// `client --pipeline` against a socket serve. A native body and the lines
+// its parser consumes are one frame holding one window slot, and a body the
+// parser rejects runs to the blank line where serve resyncs, so a window of
+// 1 never waits on a header's answer. A session that closes with answers
+// still owed exits 1.
+TEST(FleetCli, PipelinedClientWindowsNativeBodiesAndFailsOnUnansweredFrames) {
+  const auto dir = fs::temp_directory_path() / "bisched_client_window";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const auto pipelined = [&dir](const std::string& frames, const std::string& window) {
+    std::string error;
+    auto listener = engine::UnixListener::open((dir / "serve.sock").string(), &error);
+    EXPECT_NE(listener, nullptr) << error;
+    if (listener == nullptr) return RouteRun{};
+    engine::ServeOptions options;
+    options.threads = 1;
+    options.stable_output = true;
+    std::thread server([&] {
+      engine::serve_listener(engine::SolverRegistry::builtin(), *listener, options, &error);
+    });
+    const RouteRun client = run_cli({"client", "--connect=unix:" + listener->path(),
+                                     "--pipeline=" + window, "--timeout-ms=5000"},
+                                    nullptr, frames);
+    const int bye = engine::unix_connect(listener->path(), &error);
+    if (bye >= 0) {
+      EXPECT_EQ(::write(bye, "shutdown\n", 9), 9);
+      ::close(bye);
+    }
+    server.join();
+    return client;
+  };
+
+  Rng rng(83);
+  std::ostringstream frames;
+  std::vector<std::string> ids;
+  for (int i = 0; i < 8; ++i) {
+    const std::string id = "w" + std::to_string(i);
+    ids.push_back(id);
+    std::ostringstream text;
+    write_instance(text, testing::random_uniform_instance(4, 4, 2, 3, 3, rng));
+    if (i % 4 != 3) {
+      const std::string path = (dir / (id + ".inst")).string();
+      std::ofstream(path) << text.str();
+      frames << "solve " << path << " " << id << "\n";
+    } else if (i == 3) {
+      // Fails on its `speeds` line; the discard runs to the blank line.
+      std::string broken = text.str();
+      broken.replace(broken.find("speeds"), 6, "speds");
+      frames << "instance " << id << "\n" << broken << "\n";
+    } else {
+      frames << "instance " << id << "\n" << text.str();
+    }
+  }
+  const RouteRun windowed = pipelined(frames.str(), "1");
+  EXPECT_EQ(windowed.exit_code, 0) << windowed.out;
+  std::vector<std::string> answered;
+  std::istringstream lines(windowed.out);
+  for (std::string line; std::getline(lines, line);) {
+    const auto at = line.find("\"id\": \"");
+    ASSERT_NE(at, std::string::npos) << line;
+    answered.push_back(line.substr(at + 7, line.find('"', at + 7) - at - 7));
+    const bool broken = answered.back() == "w3";
+    EXPECT_NE(line.find(broken ? "\"error\": \"parse error" : "\"status\": \"ok\""),
+              std::string::npos)
+        << line;
+  }
+  EXPECT_EQ(answered, ids);
+
+  // drop-after:1 closes the session at the second solve, which is owed
+  // (a window of 1 has the first answered before the second is sent).
+  FaultEnvGuard guard;
+  ASSERT_EQ(::setenv("BISCHED_FAULT", "drop-after:1", 1), 0);
+  engine::fault::refresh_from_env();
+  const std::string path = (dir / "w0.inst").string();
+  const RouteRun dropped =
+      pipelined("solve " + path + " d0\nsolve " + path + " d1\n", "1");
+  EXPECT_EQ(dropped.exit_code, 1) << dropped.out;
+  EXPECT_NE(dropped.out.find("\"id\": \"d0\""), std::string::npos) << dropped.out;
   fs::remove_all(dir);
 }
 

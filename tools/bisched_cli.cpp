@@ -40,6 +40,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -703,31 +704,75 @@ std::int64_t response_seq(const std::string& line) {
   return seq;
 }
 
+// One write of a --pipeline client: whole stdin lines, and the number of
+// response lines the server owes for the frames they end.
+struct PipelinedChunk {
+  std::string bytes;
+  std::size_t answers = 0;
+};
+
+// Cuts newline-terminated `text` into frames the way serve's frame machine
+// does: a native `instance` header and the body lines its parser consumes
+// are one frame, and a body the parser rejects runs through the rest of the
+// failing line and then the next blank line, where serve resyncs. Each frame
+// is sent with the rest of its last line; frames sharing a line share a
+// chunk. Blank and comment lines ride with the next frame.
+std::vector<PipelinedChunk> pipelined_chunks(const std::string& text) {
+  constexpr const char* kSpace = " \t\r\v\f";  // what serve trims off a line
+  std::vector<PipelinedChunk> chunks;
+  std::size_t sent = 0;  // text before this offset is in a chunk already
+  std::size_t pos = 0;
+  while (pos < text.size()) {
+    const std::size_t nl = text.find('\n', pos);
+    const std::size_t first = text.find_first_not_of(kSpace, pos);
+    pos = nl + 1;
+    if (first == nl || text[first] == '#') continue;
+    const std::size_t last = text.find_last_not_of(kSpace, nl - 1);
+    bool needs_body = false;
+    const engine::Frame frame =
+        engine::classify_frame(text.substr(first, last - first + 1), &needs_body);
+    if (needs_body) {
+      InstanceParser body;
+      if (body.feed(text, &pos, /*eof=*/true) == InstanceParser::Status::kError) {
+        for (bool failing_line = true; pos < text.size();) {
+          const std::size_t end = text.find('\n', pos);
+          const bool resync = !failing_line && text.find_first_not_of(kSpace, pos) == end;
+          failing_line = false;
+          pos = end + 1;
+          if (resync) break;
+        }
+      }
+    }
+    const std::size_t end = text[pos - 1] == '\n' ? pos : text.find('\n', pos) + 1;
+    if (end > sent) {
+      chunks.push_back({text.substr(sent, end - sent), 0});
+      sent = end;
+    }
+    // auth is answered only when refused (the session then closes), quit
+    // and shutdown never.
+    const bool silent = frame.bad.empty() && (frame.kind == engine::Frame::Kind::kAuth ||
+                                              frame.kind == engine::Frame::Kind::kQuit ||
+                                              frame.kind == engine::Frame::Kind::kShutdown);
+    if (!silent) ++chunks.back().answers;
+  }
+  if (sent < text.size()) chunks.push_back({text.substr(sent), 0});
+  return chunks;
+}
+
 // --pipeline=N: keep up to N frames in flight on the socket and check the
 // server's per-session ordering contract — solve responses come back in send
 // order (seq strictly increasing), no matter how the pool interleaves the
-// work. Single-line frames only (JSON / `solve PATH` / probes); a native
-// `instance` body spans lines and cannot be windowed line-by-line.
+// work. Frames are cut from stdin as serve cuts them (pipelined_chunks), and
+// each one that awaits a response holds one window slot. Exits 1 on an
+// ordering violation, or when the session closes with answers still owed.
 int run_pipelined_client(engine::FdTransport& transport, int fd,
                          std::size_t window) {
-  struct Outgoing {
-    std::string line;
-    bool expects_response = true;
-  };
-  std::vector<Outgoing> frames;
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    std::string text = line;
-    const auto start = text.find_first_not_of(" \t\r");
-    text = start == std::string::npos ? "" : text.substr(start);
-    if (text.empty() || text[0] == '#') continue;
-    // auth is answered only on failure, quit/shutdown never: none of them
-    // holds a window slot (a failure response still drains at EOF below).
-    const bool silent = text.rfind("auth ", 0) == 0 || text == "quit" ||
-                        text == "shutdown";
-    frames.push_back({std::move(line), !silent});
-  }
+  std::string text{std::istreambuf_iterator<char>(std::cin), std::istreambuf_iterator<char>()};
+  if (!text.empty() && text.back() != '\n') text += '\n';
+  const std::vector<PipelinedChunk> chunks = pipelined_chunks(text);
 
+  std::size_t owed = 0;
+  for (const PipelinedChunk& chunk : chunks) owed += chunk.answers;
   std::size_t outstanding = 0;
   std::size_t responses = 0;
   std::int64_t last_seq = -1;
@@ -757,18 +802,22 @@ int run_pipelined_client(engine::FdTransport& transport, int fd,
     last_seq = seq;
   };
 
-  for (const Outgoing& frame : frames) {
+  for (const PipelinedChunk& chunk : chunks) {
     while (open && outstanding >= window) read_one();
     if (!open) break;
-    transport.out() << frame.line << '\n';
+    transport.out() << chunk.bytes;
     transport.out().flush();
     if (!transport.out()) break;
-    if (frame.expects_response) ++outstanding;
+    outstanding += chunk.answers;
   }
   ::shutdown(fd, SHUT_WR);
   while (open) read_one();  // drain until the server closes the session
   std::cerr << "client: " << responses << " responses over a window of "
             << window << (ordered ? ", seq-ordered" : "") << "\n";
+  if (responses < owed) {
+    std::cerr << "client: " << owed - responses << " frames unanswered\n";
+    return 1;
+  }
   return ordered ? 0 : 1;
 }
 

@@ -1,6 +1,8 @@
 #!/usr/bin/env sh
 # One-command tier-1 verify: configure the `ci` preset (-Wall -Wextra -Werror
-# plus ASan/UBSan), build everything, run the full ctest suite, then smoke
+# plus ASan/UBSan), build everything, run the full ctest suite, do the same
+# for the `tsan` preset (ThreadSanitizer, tests only: the router's worker
+# and maintenance threads share its connection pool), then smoke
 # the streaming batch pipeline (sharded), the serve loop (probe + result
 # cache hits + the stats frame), the warm-state store (a second batch
 # process against the same --store dir must answer from the disk tier), the
@@ -23,6 +25,9 @@ cd "$(dirname "$0")/.."
 cmake --preset ci
 cmake --build --preset ci -j "$(nproc)"
 ctest --preset ci "$@"
+cmake --preset tsan
+cmake --build --preset tsan -j "$(nproc)"
+ctest --preset tsan "$@"
 
 # ---------------------------------------------------------------- smoke ---
 # Shards must partition the corpus (3 + 2 = 5 data rows) and serve must
