@@ -1,10 +1,12 @@
-// HOTPATHS — before/after microbenches for the two profiled hot paths: the
+// HOTPATHS — before/after microbenches for the profiled hot paths: the
 // R2/R3 FPTAS DP grid (the workhorse behind Theorem 22, Algorithm 1 step 3,
-// and every Q2 solver) and Dinic's min-cut (Algorithm 1's independent-set
-// step). "Before" is the seed kernel preserved verbatim in
-// tests/reference_kernels.hpp; "after" is the shipped library. Every
-// comparison also asserts the outputs are bit-identical — the differential
-// tests prove it exhaustively, this is the tripwire in the timing loop.
+// and every Q2 solver), Dinic's min-cut (Algorithm 1's independent-set
+// step), and reading one warm serve request (record parse, content hash,
+// request decode). "Before" is the old code preserved verbatim in
+// tests/reference_{kernels,format,hash,jsonl}.hpp; "after" is the shipped
+// library. Every comparison also asserts the outputs are bit-identical — the
+// differential tests prove it exhaustively, this is the tripwire in the
+// timing loop.
 //
 // Emits BENCH_hotpaths.json (override with --json-out=PATH) with one row per
 // configuration: wall times, instance size, the speedup, and p50/p95/p99 of
@@ -20,11 +22,23 @@
 #include <string>
 #include <vector>
 
+#include <algorithm>
+#include <functional>
+#include <sstream>
+
 #include "bench_util.hpp"
+#include "engine/api.hpp"
 #include "engine/telemetry/metrics.hpp"
 #include "graph/maxflow.hpp"
+#include "io/format.hpp"
+#include "io/jsonl.hpp"
 #include "random/generators.hpp"
+#include "random/gilbert.hpp"
+#include "reference_format.hpp"
+#include "reference_hash.hpp"
+#include "reference_jsonl.hpp"
 #include "reference_kernels.hpp"
+#include "sched/instance_hash.hpp"
 #include "sched/makespan_solvers.hpp"
 #include "sched/simd_dispatch.hpp"
 #include "util/prng.hpp"
@@ -372,19 +386,180 @@ void dinic_bench(bench::JsonReport& report, bool quick) {
   t.print(std::cout);
 }
 
+// One warm serve request as the benchmark's hot_repeat workload sends it: a
+// Gilbert 1000+1000 instance at mean degree 2 with unit jobs on 3 machines of
+// speeds 1..8 (about 22 KB of text), and the same text inline in a v1 frame.
+struct WarmRequest {
+  std::string text;
+  std::string frame;
+};
+
+WarmRequest warm_request() {
+  Rng rng(derive_seed(bench::kBenchSeed + 53, 1000));
+  Graph g = gilbert_bipartite(1000, 2.0 / 1000, rng);
+  std::vector<std::int64_t> speeds(3);
+  for (auto& s : speeds) s = rng.uniform_int(1, 8);
+  std::ostringstream out;
+  write_instance(out, make_uniform_instance(unit_weights(2000), std::move(speeds), std::move(g)));
+  WarmRequest req;
+  req.text = out.str();
+  req.frame = "{\"v\": 1, \"id\": \"r1\", \"instance\": " + json_quote(req.text) + "}";
+  return req;
+}
+
+// Times `before` and `after` once each per rep, alternating, and asks
+// `identical` after every rep (outside the timed calls).
+struct PairTiming {
+  double seed_ms = 0;
+  double opt_ms = 0;
+  bool identical = true;
+  telemetry::HistogramSnapshot latency;
+};
+
+PairTiming time_pair(int reps, const std::function<void()>& before,
+                     const std::function<void()>& after,
+                     const std::function<bool()>& identical) {
+  PairTiming out;
+  telemetry::Histogram latency(telemetry::Histogram::default_latency_bounds_ms());
+  for (int rep = 0; rep < reps; ++rep) {
+    Timer timer;
+    before();
+    out.seed_ms += timer.millis();
+    timer.reset();
+    after();
+    const double rep_ms = timer.millis();
+    out.opt_ms += rep_ms;
+    latency.observe(rep_ms);
+    out.identical = out.identical && identical();
+  }
+  out.latency = latency.snapshot();
+  return out;
+}
+
+// Reading one warm request, layer by layer, against the code it replaced:
+// the record parse (MB/s of instance text), the content hash (ns per hashed
+// value) and decode_request_json (MB/s of frame).
+void io_bench(bench::JsonReport& report, bool quick) {
+  TextTable t("Reading a warm request (hot_repeat shape): old code vs shipped");
+  t.set_header({"layer", "bytes", "reps", "seed", "opt", "unit", "speedup", "identical"});
+  const int reps = quick ? 20 : 400;
+  const WarmRequest req = warm_request();
+  const auto mb_per_s = [reps](std::size_t bytes, double ms) {
+    return ms > 0 ? static_cast<double>(bytes) * reps / (ms * 1e3) : 0;
+  };
+  const auto add_row = [&](const char* kernel, std::size_t bytes, const PairTiming& pair,
+                           double seed_rate, double opt_rate, const char* unit) {
+    const double speedup = pair.opt_ms > 0 ? pair.seed_ms / pair.opt_ms : 0;
+    t.add_row({kernel, fmt_count(static_cast<long long>(bytes)), fmt_count(reps),
+               fmt_double(seed_rate, 1), fmt_double(opt_rate, 1), unit, fmt_ratio(speedup),
+               fmt_bool(pair.identical)});
+    report.add({{"kernel", kernel},
+                {"bytes", bytes},
+                {"reps", reps},
+                {"seed_ms", pair.seed_ms},
+                {"opt_ms", pair.opt_ms},
+                {"unit", unit},
+                {"seed_rate", seed_rate},
+                {"opt_rate", opt_rate},
+                {"p50_ms", pair.latency.percentile(0.5)},
+                {"p95_ms", pair.latency.percentile(0.95)},
+                {"p99_ms", pair.latency.percentile(0.99)},
+                {"speedup", speedup},
+                {"identical", pair.identical}});
+  };
+
+  {  // The record parse: the pre-rewrite istream parser vs the push parser.
+    ParsedInstance before;
+    InstanceRecord after;
+    const PairTiming pair = time_pair(
+        reps,
+        [&] {
+          std::istringstream in(req.text);
+          before = reference::parse_instance(in);
+        },
+        [&] { after = parse_instance_record(req.text); },
+        [&] {
+          return before.ok() && after.ok() && after.hash() == instance_hash(*before.uniform) &&
+                 after.build().uniform->p == before.uniform->p;
+        });
+    add_row("io_parse", req.text.size(), pair, mb_per_s(req.text.size(), pair.seed_ms),
+            mb_per_s(req.text.size(), pair.opt_ms), "MB/s");
+  }
+
+  {  // The content hash of the parsed record: byte-loop FNV vs the fold.
+    const InstanceRecord record = parse_instance_record(req.text);
+    const ParsedInstance built = record.build();
+    const UniformInstance& inst = *built.uniform;
+    std::vector<std::int64_t> speeds = inst.speeds;
+    std::sort(speeds.begin(), speeds.end(), std::greater<>());
+    std::uint64_t edge_sum = 0;
+    for (int u = 0; u < inst.num_jobs(); ++u) {
+      for (const int v : inst.conflicts.neighbors(u)) {
+        if (v > u) edge_sum += edge_hash(u, v);
+      }
+    }
+    const HashedContent content{.uniform = true,
+                                .jobs = inst.num_jobs(),
+                                .machines = inst.num_machines(),
+                                .p = inst.p,
+                                .speeds = speeds,
+                                .times = {},
+                                .edges = inst.conflicts.num_edges(),
+                                .edge_sum = edge_sum};
+    // Tag, n, m, p, speeds, the edge count and the edge sum.
+    const auto values = static_cast<double>(5 + inst.num_jobs() + inst.num_machines());
+    std::uint64_t before = 0;
+    std::uint64_t after = 0;
+    const PairTiming pair = time_pair(
+        reps, [&] { before = reference::content_hash(content); },
+        [&] { after = content_hash(content); },
+        [&] { return before == after && after == record.hash(); });
+    const auto ns_per_value = [&](double ms) { return ms * 1e6 / (reps * values); };
+    add_row("content_hash", req.text.size(), pair, ns_per_value(pair.seed_ms),
+            ns_per_value(pair.opt_ms), "ns/value");
+  }
+
+  {  // The request decode: the char-by-char flat parser copying the instance
+     // out, as decode_request_json did, vs decode_request_json.
+    std::string before;
+    std::optional<engine::SolveRequest> after;
+    const PairTiming pair = time_pair(
+        reps,
+        [&] {
+          std::string error;
+          const auto object = reference::parse_flat_json_object(req.frame, &error);
+          before = object->at("instance");
+        },
+        [&] {
+          std::string error;
+          after = engine::decode_request_json(req.frame, &error);
+        },
+        [&] {
+          return after.has_value() && after->has_inline_text && after->inline_text == before &&
+                 before == req.text;
+        });
+    add_row("decode_request_json", req.frame.size(), pair,
+            mb_per_s(req.frame.size(), pair.seed_ms), mb_per_s(req.frame.size(), pair.opt_ms),
+            "MB/s");
+  }
+  t.print(std::cout);
+}
+
 }  // namespace
 }  // namespace bisched
 
 int main(int argc, char** argv) {
   using namespace bisched;
   const bool quick = bench::parse_switch(argc, argv, "quick");
-  bench::banner("HOTPATHS — DP-grid and min-cut kernels, before vs. after",
-                "Arena + in-place window-pruned DP and CSR Dinic return "
-                "bit-identical results at a fraction of the seed cost");
+  bench::banner("HOTPATHS — DP-grid, min-cut and request-reading paths, before vs. after",
+                "Arena + in-place window-pruned DP, CSR Dinic and the one-pass "
+                "request read return bit-identical results at a fraction of the "
+                "old cost");
   bench::JsonReport report("hotpaths", argc, argv);
   r2_kernel_bench(report, quick);
   r3_kernel_bench(report, quick);
   probe_mode_bench(report, quick);
   dinic_bench(report, quick);
+  io_bench(report, quick);
   return report.write() ? 0 : 1;
 }

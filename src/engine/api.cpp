@@ -54,7 +54,7 @@ std::optional<SolveRequest> decode_request_json(const std::string& line,
                                                 std::string* salvaged_id) {
   std::string local;
   std::string& err = error != nullptr ? *error : local;
-  const auto object = parse_flat_json_object(line, &err);
+  auto object = parse_flat_json_object(line, &err);
   if (!object.has_value()) return std::nullopt;
   if (salvaged_id != nullptr) {
     const auto id_it = object->find("id");
@@ -71,7 +71,7 @@ std::optional<SolveRequest> decode_request_json(const std::string& line,
       return std::nullopt;
     }
   }
-  const auto get = [&](const char* key) -> const std::string* {
+  const auto get = [&](const char* key) -> std::string* {
     const auto it = object->find(key);
     return it != object->end() ? &it->second : nullptr;
   };
@@ -115,16 +115,17 @@ std::optional<SolveRequest> decode_request_json(const std::string& line,
     }
     req.want_spans = *spans == "true";
   }
-  const auto* path = get("path");
-  const auto* inline_text = get("instance");
+  auto* path = get("path");
+  auto* inline_text = get("instance");
   if ((path != nullptr) == (inline_text != nullptr)) {
     err = "exactly one of \"path\" / \"instance\" required";
     return std::nullopt;
   }
+  // The source moves out of the map: an inline instance is most of the line.
   if (path != nullptr) {
-    req.path = *path;
+    req.path = std::move(*path);
   } else {
-    req.inline_text = *inline_text;
+    req.inline_text = std::move(*inline_text);
     req.has_inline_text = true;
   }
   return req;

@@ -48,6 +48,30 @@ Lex next_token(std::string_view bytes, std::size_t* pos, bool eof, std::string_v
   }
 }
 
+// Digits a plain token may have: any 18-digit value fits in int64 unchecked.
+constexpr std::size_t kMaxPlainDigits = 18;
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+// The plain token at bytes[*pos..), past whitespace: 1 to kMaxPlainDigits
+// digits and nothing else, ending in whitespace inside the bytes. On a match
+// *out is its value and *pos moves past it. Otherwise *pos moves past the
+// whitespace alone, and next_token() and to_int() read what follows as they
+// read any token; this reads no token they would read differently.
+bool plain_int(std::string_view bytes, std::size_t* pos, std::int64_t* out) {
+  std::size_t i = *pos;
+  while (i < bytes.size() && is_space(bytes[i])) ++i;
+  *pos = i;
+  const std::size_t cap = std::min(bytes.size(), i + kMaxPlainDigits);
+  std::int64_t value = 0;
+  std::size_t end = i;
+  for (; end < cap && is_digit(bytes[end]); ++end) value = value * 10 + (bytes[end] - '0');
+  if (end == i || end == bytes.size() || !is_space(bytes[end])) return false;
+  *out = value;
+  *pos = end;
+  return true;
+}
+
 // A whole token in base 10: an optional '+' or '-', then digits that fit in
 // int64, and nothing else (an embedded NUL byte included).
 bool to_int(std::string_view token, std::int64_t* out) {
@@ -124,6 +148,11 @@ ParsedInstance InstanceRecord::build() && {
 InstanceParser::Status InstanceParser::feed(std::string_view bytes, std::size_t* pos,
                                             bool eof) {
   while (step_ != Step::kDone && step_ != Step::kError) {
+    std::int64_t value = 0;
+    if (in_array() && plain_int(bytes, pos, &value)) {
+      on_value(value);
+      continue;
+    }
     std::string_view token;
     const Lex lex = next_token(bytes, pos, eof, &token);
     if (lex == Lex::kNeedMore) return Status::kNeedMore;
@@ -182,8 +211,7 @@ void InstanceParser::on_token(Token token) {
       return expect("p", Step::kP);
     case Step::kP:
       if (!is_int) return fail(ints_error(n, "p"));
-      r.p_.push_back(value);
-      return enter(Step::kP);
+      return on_value(value);
     case Step::kSpeedsKw:
       return expect("speeds", Step::kSpeeds);
     case Step::kSpeeds:
@@ -194,8 +222,7 @@ void InstanceParser::on_token(Token token) {
       return;
     case Step::kSpeed:
       if (!is_int) return fail(ints_error(m, "speeds"));
-      r.speeds_.push_back(value);
-      return enter(Step::kSpeed);
+      return on_value(value);
 
     case Step::kMachinesKw:
       return expect("machines", Step::kMachines);
@@ -209,9 +236,7 @@ void InstanceParser::on_token(Token token) {
       return expect("times", Step::kTime);
     case Step::kTime:
       if (!is_int) return fail(ints_error(n, "times row"));
-      if (r.times_.empty() || std::ssize(r.times_.back()) == n) r.times_.emplace_back();
-      r.times_.back().push_back(value);
-      return enter(Step::kTime);
+      return on_value(value);
 
     case Step::kEdgesKw:
       return expect("edges", Step::kEdges);
@@ -220,26 +245,47 @@ void InstanceParser::on_token(Token token) {
       return;
     case Step::kEdge:
       if (!is_int) return fail("expected " + std::to_string(k_) + " edge lines");
+      return on_value(value);
+
+    case Step::kDone:
+    case Step::kError:
+      return;
+  }
+}
+
+// The one grammar action of each array step, for a value read either way.
+void InstanceParser::on_value(std::int64_t value) {
+  InstanceRecord& r = record_;
+  switch (step_) {
+    case Step::kP:
+      r.p_.push_back(value);
+      return enter(Step::kP);
+    case Step::kSpeed:
+      r.speeds_.push_back(value);
+      return enter(Step::kSpeed);
+    case Step::kTime:
+      if (r.times_.empty() || std::ssize(r.times_.back()) == r.jobs_) r.times_.emplace_back();
+      r.times_.back().push_back(value);
+      return enter(Step::kTime);
+    case Step::kEdge: {
       if (!edge_u_.has_value()) {
         edge_u_ = value;
         return;
       }
+      const std::int64_t n = r.jobs_;
       if (*edge_u_ < 0 || *edge_u_ >= n || value < 0 || value >= n || *edge_u_ == value) {
         return fail("bad edge (" + std::to_string(*edge_u_) + ", " + std::to_string(value) +
                     ")");
       }
-      {
-        const int u = static_cast<int>(*edge_u_);
-        const int v = static_cast<int>(value);
-        r.edges_.push_back(u);
-        r.edges_.push_back(v);
-        r.edge_sum_ += edge_hash(std::min(u, v), std::max(u, v));
-      }
+      const int u = static_cast<int>(*edge_u_);
+      const int v = static_cast<int>(value);
+      r.edges_.push_back(u);
+      r.edges_.push_back(v);
+      r.edge_sum_ += edge_hash(std::min(u, v), std::max(u, v));
       edge_u_.reset();
       return enter(Step::kEdge);
-
-    case Step::kDone:
-    case Step::kError:
+    }
+    default:
       return;
   }
 }

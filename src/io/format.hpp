@@ -95,6 +95,15 @@ class InstanceRecord {
 // parser keeps no pointer into them). With `eof` the outcome is always
 // decided. Arrays grow as values arrive, never from a declared count, so
 // memory follows the bytes received.
+//
+// In the array steps (p, speeds, time rows, edges) a plain token, 1 to 18
+// digits and nothing else ending in whitespace inside `bytes`, is converted
+// by one digit loop. Every other token takes the general tokenizer: a sign,
+// a '#', 19 or more digits, a NUL or other stray byte, and a token that
+// touches the end of `bytes` even with `eof`. The general path alone decides
+// errors and kNeedMore, and both paths hand the value to the same grammar
+// action, so the outcome, the error string and the stop offset never depend
+// on which path read a token.
 class InstanceParser {
  public:
   enum class Status { kNeedMore, kDone, kError };
@@ -111,7 +120,12 @@ class InstanceParser {
     kEdgesKw, kEdges, kEdge, kDone, kError,
   };
 
+  bool in_array() const {
+    return step_ == Step::kP || step_ == Step::kSpeed || step_ == Step::kTime ||
+           step_ == Step::kEdge;
+  }
   void on_token(std::optional<std::string_view> token);  // nullopt: input ended
+  void on_value(std::int64_t value);                     // one value of an array step
   void enter(Step next);
   void fail(std::string error);
 

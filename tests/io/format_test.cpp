@@ -150,7 +150,7 @@ TEST(IoFormat, CommentsAndWhitespaceTolerated) {
 
 // Valid instances in spellings the writers never emit: '#' comments, CRLF,
 // tabs, \v and \f, '+' signs; then integers that overflow int64 or hold a
-// NUL byte.
+// NUL byte; then the array steps' plain-token boundary (kPlainBoundary on).
 const std::vector<std::string>& spelled_corpus() {
   using namespace std::string_literals;
   static const std::vector<std::string> corpus = {
@@ -165,9 +165,30 @@ const std::vector<std::string>& spelled_corpus() {
       "bisched unrelated v1\njobs 1\nmachines 1\ntimes\n-9223372036854775809\nedges 0\n",
       // An embedded NUL byte is part of the token, so `1\0x` is no integer.
       "bisched uniform v1\njobs 1\0x\np 1\nspeeds 1\n1\nedges 0\n"s,
+      // The plain-token boundary, in every array step: 17 and 18 digits
+      // (plain), 19 digits, INT64_MAX and 20 zero-padded characters (the
+      // general path), signs, and \t, \v and \f separators. The first text
+      // parses; the other two end at INT64_MAX + 1 in a time row and at a
+      // `1#c` glued to its comment in the edges, since a parse stops at its
+      // first bad token.
+      "bisched uniform v1\njobs 8\n"
+      "p 12345678901234567\t123456789012345678\v1234567890123456789\f"
+      "9223372036854775807 00000000000000000042\t+7 1\v00000000000000001\n"
+      "speeds 4\n123456789012345678\v+7\f1000000000000000000\t00000000000000000009\n"
+      "edges 4\n00000000000000001 000000000000000002\n"
+      "0000000000000000003\t00000000000000000004\n+7\v-0\n-0\f00000000000000000005",
+      "bisched unrelated v1\njobs 4\nmachines 2\ntimes\n"
+      "12345678901234567\f-0\v00000000000000000042\t+7\n"
+      "123456789012345678 1234567890123456789\t9223372036854775807\v9223372036854775808\n"
+      "edges 1\n0 1\n",
+      "bisched uniform v1\njobs 3\np 1\t+7\v12345678901234567\nspeeds 2\n1\f+7\n"
+      "edges 2\n0 1\n2 1#c\n",
   };
   return corpus;
 }
+
+// Where the plain-token boundary texts start in spelled_corpus().
+constexpr std::size_t kPlainBoundary = 7;
 
 struct Outcome {
   InstanceRecord record;
@@ -347,6 +368,25 @@ TEST(IoFormatFuzz, TruncatedInputsNeverCrash) {
       if (::testing::Test::HasFatalFailure()) return;
     }
   }
+}
+
+// The boundary texts reach the tokens they are there for: every value of
+// the first one as written, and the other two fail at their last token.
+TEST(IoFormatFuzz, PlainTokenBoundaryTextsReachEveryToken) {
+  const auto& corpus = spelled_corpus();
+  const ParsedInstance plain = parse_instance(corpus[kPlainBoundary]);
+  ASSERT_TRUE(plain.ok()) << plain.error;
+  const std::vector<std::int64_t> p = {12345678901234567, 123456789012345678,
+                                       1234567890123456789, INT64_MAX, 42, 7, 1, 1};
+  EXPECT_EQ(plain.uniform->p, p);
+  const std::vector<std::int64_t> speeds = {1000000000000000000, 123456789012345678, 9, 7};
+  EXPECT_EQ(plain.uniform->speeds, speeds);
+  const Graph& g = plain.uniform->conflicts;
+  EXPECT_EQ(g.num_edges(), 4);
+  EXPECT_TRUE(g.has_edge(1, 2) && g.has_edge(3, 4) && g.has_edge(7, 0) && g.has_edge(0, 5));
+  EXPECT_EQ(parse_instance(corpus[kPlainBoundary + 1]).error,
+            "expected 4 integers for times row");
+  EXPECT_EQ(parse_instance(corpus[kPlainBoundary + 2]).error, "expected 2 edge lines");
 }
 
 TEST(IoFormat, NegativeTimeRejected) {

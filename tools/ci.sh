@@ -402,6 +402,14 @@ grep -q '"mode": "value-only"' "$BENCH_JSON" \
   cat "$BENCH_JSON" >&2
   exit 1
 }
+# The request-reading rows: record parse, content hash and request decode.
+for kernel in io_parse content_hash decode_request_json; do
+  grep -q "\"kernel\": \"$kernel\"" "$BENCH_JSON" || {
+    echo "ci.sh: bench smoke failed: $BENCH_JSON lacks the $kernel row" >&2
+    cat "$BENCH_JSON" >&2
+    exit 1
+  }
+done
 
 # ---------------------------------------------------- store bench smoke ---
 # The store trajectory must stay machine-readable too: the warm-up bench in
