@@ -4,16 +4,16 @@
 // step), and reading one warm serve request (record parse, content hash,
 // request decode). "Before" is the old code preserved verbatim in
 // tests/reference_{kernels,format,hash,jsonl}.hpp; "after" is the shipped
-// library. Every comparison also asserts the outputs are bit-identical — the
-// differential tests prove it exhaustively, this is the tripwire in the
-// timing loop.
+// library. Every comparison also checks the outputs are bit-identical, and
+// the bench exits 1 when any row's `identical` is false — the differential
+// tests prove it exhaustively, this is the tripwire in the timing loop.
 //
 // Emits BENCH_hotpaths.json (override with --json-out=PATH) with one row per
 // configuration: wall times, instance size, the speedup, and p50/p95/p99 of
 // the shipped kernel's per-trial latency from a telemetry histogram (the same
-// bucket ladder and percentile math the serve scrape path exposes) — the
-// repo's perf trajectory, validated by tools/ci.sh. --quick shrinks sizes
-// and repetitions for the 1-CPU sanitized CI runner.
+// bucket ladder and percentile math the serve scrape path exposes). --quick
+// shrinks sizes and repetitions; ctest runs it that way and checks the
+// report's rows (bench/check_hotpaths.cmake).
 //
 //   --quick          CI-sized run (seconds, not minutes)
 //   --json-out=PATH  where to write the JSON report
@@ -47,6 +47,14 @@ namespace bisched {
 namespace {
 
 namespace telemetry = engine::telemetry;
+
+// Every row's `identical`, ANDed: main exits 1 when any comparison differed.
+bool all_identical = true;
+
+bool tally(bool identical) {
+  all_identical = all_identical && identical;
+  return identical;
+}
 
 // Forces the R2 row kernels onto one ISA level for a scope (BISCHED_SIMD +
 // refresh), restoring detection-resolved dispatch on the way out.
@@ -136,7 +144,7 @@ void r2_kernel_bench(bench::JsonReport& report, bool quick) {
                   {"p95_ms", lat.percentile(0.95)},
                   {"p99_ms", lat.percentile(0.99)},
                   {"speedup", speedup},
-                  {"identical", identical}});
+                  {"identical", tally(identical)}});
     }
   }
   t.print(std::cout);
@@ -188,7 +196,7 @@ void probe_mode_bench(bench::JsonReport& report, bool quick) {
                 {"eps", eps},
                 {"trials", trials},
                 {"opt_ms", eager_ms},
-                {"identical", identical}});
+                {"identical", tally(identical)}});
     report.add({{"kernel", "r2_probe_mode"},
                 {"isa", isa},
                 {"mode", "value-only"},
@@ -200,7 +208,7 @@ void probe_mode_bench(bench::JsonReport& report, bool quick) {
                 {"p95_ms", lat.percentile(0.95)},
                 {"p99_ms", lat.percentile(0.99)},
                 {"speedup_vs_eager", speedup},
-                {"identical", identical}});
+                {"identical", tally(identical)}});
   }
 
   {  // R3: the 2-D grid — the choice matrix is quadratic, so the saving is
@@ -239,7 +247,7 @@ void probe_mode_bench(bench::JsonReport& report, bool quick) {
                 {"eps", eps},
                 {"trials", trials},
                 {"opt_ms", eager_ms},
-                {"identical", identical}});
+                {"identical", tally(identical)}});
     report.add({{"kernel", "r3_probe_mode"},
                 {"isa", isa},
                 {"mode", "value-only"},
@@ -251,7 +259,7 @@ void probe_mode_bench(bench::JsonReport& report, bool quick) {
                 {"p95_ms", lat.percentile(0.95)},
                 {"p99_ms", lat.percentile(0.99)},
                 {"speedup_vs_eager", speedup},
-                {"identical", identical}});
+                {"identical", tally(identical)}});
   }
   t.print(std::cout);
 }
@@ -301,7 +309,7 @@ void r3_kernel_bench(bench::JsonReport& report, bool quick) {
                 {"p95_ms", lat.percentile(0.95)},
                 {"p99_ms", lat.percentile(0.99)},
                 {"speedup", speedup},
-                {"identical", identical}});
+                {"identical", tally(identical)}});
   }
   t.print(std::cout);
 }
@@ -381,7 +389,7 @@ void dinic_bench(bench::JsonReport& report, bool quick) {
                 {"p95_ms", lat.percentile(0.95)},
                 {"p99_ms", lat.percentile(0.99)},
                 {"speedup", speedup},
-                {"identical", identical}});
+                {"identical", tally(identical)}});
   }
   t.print(std::cout);
 }
@@ -465,7 +473,7 @@ void io_bench(bench::JsonReport& report, bool quick) {
                 {"p95_ms", pair.latency.percentile(0.95)},
                 {"p99_ms", pair.latency.percentile(0.99)},
                 {"speedup", speedup},
-                {"identical", pair.identical}});
+                {"identical", tally(pair.identical)}});
   };
 
   {  // The record parse: the pre-rewrite istream parser vs the push parser.
@@ -561,5 +569,10 @@ int main(int argc, char** argv) {
   probe_mode_bench(report, quick);
   dinic_bench(report, quick);
   io_bench(report, quick);
-  return report.write() ? 0 : 1;
+  const bool written = report.write();
+  if (!all_identical) {
+    std::cerr << "hotpaths: a shipped path differed from its reference "
+                 "(a row with identical=false)\n";
+  }
+  return written && all_identical ? 0 : 1;
 }

@@ -2,9 +2,10 @@
 // Monte-Carlo settings, and machine-readable output. Every binary prints one
 // or more TextTables — the repository's reproduction of the paper's
 // (theorem-level) results — and exits 0; `for b in build/bench/*; do $b; done`
-// runs the full harness. Binaries that feed the perf trajectory additionally
-// emit a BENCH_<name>.json file through JsonReport, so CI and dashboards can
-// diff runs without scraping tables (tools/ci.sh validates the hot-path one).
+// runs the full harness. bench_hotpaths additionally writes BENCH_hotpaths.json
+// through JsonReport, so runs diff without scraping tables, and exits 1 when
+// a shipped path differs from its reference (ctest runs it at --quick and
+// checks the report's rows, bench/check_hotpaths.cmake).
 #pragma once
 
 #include <charconv>
@@ -16,7 +17,6 @@
 #include <utility>
 #include <vector>
 
-#include "engine/store/bench_history.hpp"
 #include "io/jsonl.hpp"
 #include "util/parallel.hpp"
 #include "util/table.hpp"
@@ -106,14 +106,9 @@ class JsonReport {
  public:
   // `name` is the bench's short name ("hotpaths" -> BENCH_hotpaths.json);
   // argv is scanned for a --json-out=PATH override.
-  // With --store=DIR the finished document is ALSO appended into that
-  // store's bench-history namespace (engine/store/bench_history.hpp), so
-  // one directory accumulates the perf trajectory alongside the cache
-  // warmth. `bisched_cli stats --store=DIR` lists what landed.
   JsonReport(std::string name, int argc, char** argv)
       : name_(std::move(name)),
-        path_(parse_flag(argc, argv, "json-out", "BENCH_" + name_ + ".json")),
-        store_(parse_flag(argc, argv, "store")) {}
+        path_(parse_flag(argc, argv, "json-out", "BENCH_" + name_ + ".json")) {}
 
   JsonReport(const JsonReport&) = delete;
   JsonReport& operator=(const JsonReport&) = delete;
@@ -144,24 +139,14 @@ class JsonReport {
   bool write() {
     if (written_) return true;
     written_ = true;
-    const std::string doc = document();
     std::ofstream out(path_);
     if (!out) {
       std::cerr << "cannot write bench report '" << path_ << "'\n";
       return false;
     }
-    out << doc;
+    out << document();
     out.flush();
     if (out) std::cout << "wrote " << path_ << " (" << rows_.size() << " rows)\n";
-    if (!store_.empty()) {
-      std::string error;
-      if (engine::store::append_bench_history_at(store_, name_, doc, &error)) {
-        std::cout << "recorded " << name_ << " into " << store_
-                  << " bench-history\n";
-      } else {
-        std::cerr << "bench-history: " << error << "\n";
-      }
-    }
     return static_cast<bool>(out);
   }
 
@@ -170,7 +155,6 @@ class JsonReport {
  private:
   std::string name_;
   std::string path_;
-  std::string store_;  // empty = no bench-history append
   std::vector<std::string> rows_;
   bool written_ = false;
 };

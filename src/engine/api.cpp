@@ -49,7 +49,7 @@ bool parse_double_field(const std::string& text, double* out) {
 
 }  // namespace
 
-std::optional<SolveRequest> decode_request_json(const std::string& line,
+std::optional<SolveRequest> decode_request_json(std::string_view line,
                                                 std::string* error,
                                                 std::string* salvaged_id) {
   std::string local;

@@ -47,6 +47,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "engine/registry.hpp"
 #include "engine/solver.hpp"
@@ -152,7 +153,7 @@ std::string encode_request_json(const SolveRequest& req);
 // least a parseable JSON object, *salvaged_id (if non-null) receives its
 // "id" member even on validation failure — so the error response can still
 // reach the client under the id it is correlating by.
-std::optional<SolveRequest> decode_request_json(const std::string& line,
+std::optional<SolveRequest> decode_request_json(std::string_view line,
                                                 std::string* error,
                                                 std::string* salvaged_id = nullptr);
 

@@ -7,7 +7,7 @@
 #include <memory>
 #include <mutex>
 #include <ostream>
-#include <sstream>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -27,22 +27,27 @@ constexpr std::size_t kWriteHighWater = std::size_t{4} << 20;
 // Per-session pipeline bound when the caller passes 0.
 constexpr std::size_t kDefaultPipelineDepth = 64;
 
-// Strips every character istream extraction also treats as whitespace
-// (\v and \f included), so a whitespace-only line is always classified as a
-// blank frame and can never reach split_words as an empty word list.
-std::string trimmed(const std::string& line) {
-  const auto start = line.find_first_not_of(" \t\r\v\f");
-  if (start == std::string::npos) return "";
-  const auto end = line.find_last_not_of(" \t\r\v\f");
-  return line.substr(start, end - start + 1);
+// Whitespace as istream extraction sees it (\v and \f included).
+constexpr std::string_view kSpace = " \t\n\v\f\r";
+
+// The view of `line` without leading and trailing whitespace, so a
+// whitespace-only line is always classified as a blank frame and can never
+// reach split_words as an empty word list.
+std::string_view trimmed(std::string_view line) {
+  const auto start = line.find_first_not_of(kSpace);
+  if (start == std::string_view::npos) return {};
+  return line.substr(start, line.find_last_not_of(kSpace) - start + 1);
 }
 
-// Splits "solve PATH [ID]" / "instance [ID]" style frames on whitespace.
-std::vector<std::string> split_words(const std::string& line) {
-  std::vector<std::string> words;
-  std::istringstream stream(line);
-  std::string word;
-  while (stream >> word) words.push_back(word);
+// Splits "solve PATH [ID]" / "instance [ID]" style frames on whitespace,
+// into views of `line`.
+std::vector<std::string_view> split_words(std::string_view line) {
+  std::vector<std::string_view> words;
+  for (auto start = line.find_first_not_of(kSpace); start != std::string_view::npos;) {
+    const auto end = std::min(line.find_first_of(kSpace, start), line.size());
+    words.push_back(line.substr(start, end - start));
+    start = line.find_first_not_of(kSpace, end);
+  }
   return words;
 }
 
@@ -56,7 +61,7 @@ bool is_reserved_id(const std::string& id) {
 
 }  // namespace
 
-Frame classify_frame(const std::string& line, bool* needs_body) {
+Frame classify_frame(std::string_view line, bool* needs_body) {
   Frame out;
   *needs_body = false;
   if (line == "quit") {
@@ -114,7 +119,7 @@ Frame classify_frame(const std::string& line, bool* needs_body) {
       }
       out.kind = Frame::Kind::kAuth;
     } else {
-      out.bad = "bad request: unrecognized frame '" + words[0] + "'";
+      out.bad = "bad request: unrecognized frame '" + std::string(words[0]) + "'";
     }
   }
 
@@ -248,7 +253,8 @@ void SessionEngine::process_input(Session& s) {
           if (resynced) s.rpos = s.rbuf.size();
           break;
         }
-        resynced = !s.failed_line && trimmed(s.rbuf.substr(s.rpos, nl - s.rpos)).empty();
+        resynced = !s.failed_line &&
+                   trimmed(std::string_view(s.rbuf).substr(s.rpos, nl - s.rpos)).empty();
         s.failed_line = false;
         s.rpos = nl + 1;
       }
@@ -256,17 +262,19 @@ void SessionEngine::process_input(Session& s) {
       s.mode = Session::Mode::kLine;
       dispatch_frame(s, std::exchange(s.body_frame, Frame{}));
     } else {
+      // `line` and `text` view rbuf, which nothing changes before the
+      // frame is classified into strings of its own.
       const auto nl = s.rbuf.find('\n', s.rpos);
-      std::string line;
+      std::string_view line(s.rbuf);
       if (nl == std::string::npos) {
         if (!s.read_eof || s.rpos >= s.rbuf.size()) break;
-        line = s.rbuf.substr(s.rpos);  // final unterminated line
+        line = line.substr(s.rpos);  // final unterminated line
         s.rpos = s.rbuf.size();
       } else {
-        line = s.rbuf.substr(s.rpos, nl - s.rpos);
+        line = line.substr(s.rpos, nl - s.rpos);
         s.rpos = nl + 1;
       }
-      const std::string text = trimmed(line);
+      const std::string_view text = trimmed(line);
       if (text.empty() || text[0] == '#') continue;
       bool needs_body = false;
       Frame frame = classify_frame(text, &needs_body);

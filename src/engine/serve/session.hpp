@@ -32,6 +32,7 @@
 #include <iosfwd>
 #include <map>
 #include <string>
+#include <string_view>
 
 #include "engine/api.hpp"
 #include "engine/telemetry/metrics.hpp"
@@ -56,8 +57,9 @@ struct Frame {
 
 // Classifies one trimmed, non-blank, non-comment line. A native `instance`
 // header comes back with *needs_body set and req.parsed still empty: the
-// frame machine parses the body that follows it into req.parsed.
-Frame classify_frame(const std::string& line, bool* needs_body);
+// frame machine parses the body that follows it into req.parsed. The Frame
+// owns copies of what it keeps; `line` need only outlive the call.
+Frame classify_frame(std::string_view line, bool* needs_body);
 
 // What a handler sees of the session a frame arrived on.
 struct SessionInfo {

@@ -10,8 +10,7 @@
 //         every bench emits (bench/bench_util.hpp), one row per phase plus a
 //         "total" row carrying run-level fields (scenario, seed, mode,
 //         connections, driver wall time, and the server's own stats-frame
-//         counters as server_*). Diffable across PRs; appendable into the
-//         warm store's bench-history namespace.
+//         counters as server_*). Diffable across PRs.
 //   HTML  one self-contained file, no external assets: inline-SVG latency
 //         over time (per-time-bucket p50/p95), cache-tier mix as a stacked
 //         area, and the per-phase summary table. Open it from a CI artifact

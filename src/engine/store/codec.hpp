@@ -33,9 +33,6 @@ namespace bisched::engine::store {
 inline constexpr std::uint32_t kProfileSchema = 1;
 inline constexpr std::uint32_t kResultSchema = 1;
 inline constexpr std::uint32_t kResultKeySchema = 1;
-// bench-history values are the raw BENCH_*.json documents; the schema pins
-// that convention (engine/store/bench_history.hpp).
-inline constexpr std::uint32_t kBenchHistorySchema = 1;
 
 // ----------------------------------------------------------- primitives ---
 

@@ -1,6 +1,5 @@
 #include "engine/store/warm_state.hpp"
 
-#include "engine/store/bench_history.hpp"
 #include "engine/store/codec.hpp"
 
 namespace bisched::engine {
@@ -71,13 +70,6 @@ void WarmState::mirror_metrics() {
                                          stats_view(profiles_->stats()));
   telemetry::EngineMetrics::mirror_cache(telemetry_->result_cache(),
                                          stats_view(results_->stats()));
-}
-
-DiskTier* WarmState::bench_history() {
-  if (store_ == nullptr) return nullptr;
-  // open_namespace is idempotent per store (the same tier comes back), so
-  // lazy means "not loaded unless some run records history".
-  return store_->open_namespace(store::bench_history_namespace());
 }
 
 const std::string& WarmState::store_dir() const {

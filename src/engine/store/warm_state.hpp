@@ -64,12 +64,6 @@ class WarmState {
   telemetry::EngineMetrics& telemetry() { return *telemetry_; }
   void mirror_metrics();
 
-  // The store's bench-history namespace (engine/store/bench_history.hpp),
-  // opened lazily on first use — an in-process sim run appends its report
-  // through the SAME store handle its caches warm, so the append cannot
-  // lose a write-lease race against itself. nullptr when memory-only.
-  DiskTier* bench_history();
-
   bool persistent() const { return store_ != nullptr; }
   // Empty when memory-only.
   const std::string& store_dir() const;

@@ -236,7 +236,7 @@ std::unique_ptr<TcpListener> TcpListener::open(const std::string& host, int port
   }
 
   // Read the actual port back: with port 0 the kernel picked one, and the
-  // caller (CLI banner, tests, ci.sh) needs it to hand to clients.
+  // caller (CLI banner, tests) needs it to hand to clients.
   sockaddr_storage bound{};
   socklen_t bound_len = sizeof(bound);
   int actual_port = port;

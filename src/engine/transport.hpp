@@ -3,7 +3,7 @@
 //   Listener      — a bound socket the event loop accepts from
 //                   (engine/serve/event_loop.hpp). Two implementations:
 //     UnixListener  a unix-domain socket; unix_connect is the matching
-//                   client side (CLI `client`, tests, the CI smoke).
+//                   client side (CLI `client`, tests).
 //     TcpListener   an AF_INET/AF_INET6 socket for `--listen=tcp:HOST:PORT`.
 //                   Non-loopback bind addresses are REFUSED unless the
 //                   caller passes allow_remote (the CLI's --allow-remote,

@@ -4,65 +4,20 @@
 // Also the serve summary line on stderr, whose breakdown must add up.
 #include <gtest/gtest.h>
 
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
+
+#include "cli_process.hpp"
 
 namespace bisched {
 namespace {
 
 #ifdef BISCHED_CLI_PATH
 
-struct CliRun {
-  int exit_code = -1;
-  std::string err;
-};
-
-// Runs `bisched_cli <args>` with `input` on stdin (then EOF) and stdout
-// discarded. `input` must fit in a pipe buffer.
-CliRun run_cli(const std::vector<std::string>& args, const std::string& input = "") {
-  CliRun run;
-  int err_pipe[2] = {-1, -1};
-  int in_pipe[2] = {-1, -1};
-  if (::pipe(err_pipe) != 0 || ::pipe(in_pipe) != 0) return run;
-  if (::write(in_pipe[1], input.data(), input.size()) !=
-      static_cast<ssize_t>(input.size())) {
-    return run;
-  }
-  ::close(in_pipe[1]);
-  const pid_t pid = ::fork();
-  if (pid < 0) return run;
-  if (pid == 0) {
-    const int null_fd = ::open("/dev/null", O_RDWR);
-    ::dup2(in_pipe[0], STDIN_FILENO);
-    ::dup2(null_fd, STDOUT_FILENO);
-    ::dup2(err_pipe[1], STDERR_FILENO);
-    ::close(err_pipe[0]);
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(BISCHED_CLI_PATH));
-    for (const std::string& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
-    argv.push_back(nullptr);
-    ::execv(BISCHED_CLI_PATH, argv.data());
-    ::_exit(127);
-  }
-  ::close(in_pipe[0]);
-  ::close(err_pipe[1]);
-  char buf[4096];
-  ssize_t n = 0;
-  while ((n = ::read(err_pipe[0], buf, sizeof(buf))) > 0) {
-    run.err.append(buf, static_cast<std::size_t>(n));
-  }
-  ::close(err_pipe[0]);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return run;
-}
+using testing::CliRun;
+using testing::run_cli;
 
 TEST(CliFlags, UnknownFlagsExitTwoAndNameTheFlag) {
   const struct {
@@ -90,6 +45,16 @@ TEST(CliFlags, TheFlagsACommandReadsAreAccepted) {
   EXPECT_EQ(serve.exit_code, 0) << serve.err;
   const CliRun algs = run_cli({"list-algs", "--json"});
   EXPECT_EQ(algs.exit_code, 0) << algs.err;
+}
+
+TEST(CliFlags, SimStoreAppliesToInProcessRunsOnly) {
+  // A live run's caches are the server's: --store next to --connect is an
+  // error before anything is read or replayed.
+  const CliRun run = run_cli({"sim", "--trace-in=missing.trace",
+                              "--connect=unix:missing.sock", "--store=unused"});
+  EXPECT_EQ(run.exit_code, 2) << run.err;
+  EXPECT_NE(run.err.find("--store applies to in-process runs only"), std::string::npos)
+      << run.err;
 }
 
 TEST(CliServe, SummaryBreakdownAddsUpToTheRequestCount) {

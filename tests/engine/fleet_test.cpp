@@ -14,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -29,6 +28,7 @@
 #include <thread>
 #include <vector>
 
+#include "cli_process.hpp"
 #include "engine/fault.hpp"
 #include "engine/fleet/health.hpp"
 #include "engine/fleet/router.hpp"
@@ -234,63 +234,19 @@ TEST(Fault, SpecParsingScopingAndDropAction) {
 
 #ifdef BISCHED_CLI_PATH
 
-struct RouteRun {
-  std::string out;
-  int exit_code = -1;
-};
+using testing::CliRun;
 
-// Runs `bisched_cli <args>` with `input` on stdin, `fault` (when non-null)
-// as BISCHED_FAULT in the child only, and returns its stdout.
-RouteRun run_cli(const std::vector<std::string>& args, const char* fault,
-                 const std::string& input) {
-  RouteRun run;
-  int to_child[2] = {-1, -1};
-  int from_child[2] = {-1, -1};
-  if (::pipe(to_child) != 0 || ::pipe(from_child) != 0) return run;
-  const pid_t pid = ::fork();
-  if (pid < 0) return run;
-  if (pid == 0) {
-    ::dup2(to_child[0], STDIN_FILENO);
-    ::dup2(from_child[1], STDOUT_FILENO);
-    ::close(to_child[0]);
-    ::close(to_child[1]);
-    ::close(from_child[0]);
-    ::close(from_child[1]);
-    if (fault != nullptr) {
-      ::setenv("BISCHED_FAULT", fault, 1);
-    } else {
-      ::unsetenv("BISCHED_FAULT");
-    }
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(BISCHED_CLI_PATH));
-    for (const std::string& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
-    argv.push_back(nullptr);
-    ::execv(BISCHED_CLI_PATH, argv.data());
-    ::_exit(127);
-  }
-  ::close(to_child[0]);
-  ::close(from_child[1]);
-  size_t off = 0;
-  while (off < input.size()) {
-    const ssize_t n = ::write(to_child[1], input.data() + off, input.size() - off);
-    if (n <= 0) break;
-    off += static_cast<size_t>(n);
-  }
-  ::close(to_child[1]);
-  char buf[4096];
-  ssize_t n = 0;
-  while ((n = ::read(from_child[0], buf, sizeof(buf))) > 0) {
-    run.out.append(buf, static_cast<size_t>(n));
-  }
-  ::close(from_child[0]);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  run.exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return run;
+// Runs `bisched_cli <args>` with `input` on stdin and `fault` (when
+// non-null) as BISCHED_FAULT in the child only.
+CliRun run_cli(const std::vector<std::string>& args, const char* fault,
+               const std::string& input) {
+  testing::EnvEdits env;
+  if (fault != nullptr) env.emplace_back("BISCHED_FAULT", fault);
+  return testing::run_cli(args, input, env);
 }
 
-RouteRun run_route(std::vector<std::string> args, const char* fault,
-                   const std::string& input) {
+CliRun run_route(std::vector<std::string> args, const char* fault,
+                 const std::string& input) {
   args.insert(args.begin(), "route");
   return run_cli(args, fault, input);
 }
@@ -384,7 +340,7 @@ TEST(FleetCli, CrashMidBatchFailsOverInvisiblyAndMatchesSingleBackendRun) {
                                                "--route-threads=1",
                                                "--max-inflight=1",
                                                "--deadline-ms=20000"};
-  const RouteRun faulted =
+  const CliRun faulted =
       run_route(fleet_args, "backend=0;crash-after:2", fleet_input.str());
   // Exit 0 = the router itself counted zero client-visible errors.
   EXPECT_EQ(faulted.exit_code, 0) << faulted.out;
@@ -412,12 +368,16 @@ TEST(FleetCli, CrashMidBatchFailsOverInvisiblyAndMatchesSingleBackendRun) {
   ASSERT_NE(retries_at, std::string::npos) << metrics->second;
   EXPECT_GT(std::atol(metrics->second.c_str() + retries_at + 30), 0);
   EXPECT_NE(metrics->second.find("bisched_fleet_backends"), std::string::npos);
+  // The scrape rides JSON-escaped, so the label's quotes arrive as \".
+  EXPECT_NE(metrics->second.find("bisched_fleet_backends{state=\\\"healthy\\\"}"),
+            std::string::npos)
+      << metrics->second;
 
   // Control run: one backend, no fault. Same requests must produce the same
   // responses modulo seq and cache provenance — failover changed WHERE a
   // request ran, never its answer.
-  const RouteRun single = run_route({"--fleet=1", "--stable", "--route-threads=1"},
-                                    nullptr, frames.str() + "quit\n");
+  const CliRun single = run_route({"--fleet=1", "--stable", "--route-threads=1"},
+                                  nullptr, frames.str() + "quit\n");
   EXPECT_EQ(single.exit_code, 0) << single.out;
   const auto control = lines_by_id(single.out);
   for (int i = 0; i < id; ++i) {
@@ -672,7 +632,7 @@ TEST(FleetCli, PipelinedResponsesComeBackInSendOrder) {
   const auto dir = fs::temp_directory_path() / "bisched_fleet_order";
   fs::remove_all(dir);
   fs::create_directories(dir);
-  const RouteRun slow =
+  const CliRun slow =
       run_cli({"gen", "gilbert", "--n=30", "--a=2", "--m=3", "--seed=3"}, nullptr, "");
   ASSERT_EQ(slow.exit_code, 0);
   std::ofstream((dir / "slow.inst").string()) << slow.out;
@@ -692,7 +652,7 @@ TEST(FleetCli, PipelinedResponsesComeBackInSendOrder) {
   std::thread router([&] {
     engine::fleet::route_listener(two_backend_options(), *listener, &error);
   });
-  const RouteRun client =
+  const CliRun client =
       run_cli({"client", "--connect=unix:" + listener->path(), "--pipeline=4"}, nullptr,
               frames.str());
   const int bye = engine::unix_connect(listener->path(), &error);
@@ -730,16 +690,16 @@ TEST(FleetCli, PipelinedClientWindowsNativeBodiesAndFailsOnUnansweredFrames) {
     std::string error;
     auto listener = engine::UnixListener::open((dir / "serve.sock").string(), &error);
     EXPECT_NE(listener, nullptr) << error;
-    if (listener == nullptr) return RouteRun{};
+    if (listener == nullptr) return CliRun{};
     engine::ServeOptions options;
     options.threads = 1;
     options.stable_output = true;
     std::thread server([&] {
       engine::serve_listener(engine::SolverRegistry::builtin(), *listener, options, &error);
     });
-    const RouteRun client = run_cli({"client", "--connect=unix:" + listener->path(),
-                                     "--pipeline=" + window, "--timeout-ms=5000"},
-                                    nullptr, frames);
+    const CliRun client = run_cli({"client", "--connect=unix:" + listener->path(),
+                                   "--pipeline=" + window, "--timeout-ms=5000"},
+                                  nullptr, frames);
     const int bye = engine::unix_connect(listener->path(), &error);
     if (bye >= 0) {
       EXPECT_EQ(::write(bye, "shutdown\n", 9), 9);
@@ -770,7 +730,7 @@ TEST(FleetCli, PipelinedClientWindowsNativeBodiesAndFailsOnUnansweredFrames) {
       frames << "instance " << id << "\n" << text.str();
     }
   }
-  const RouteRun windowed = pipelined(frames.str(), "1");
+  const CliRun windowed = pipelined(frames.str(), "1");
   EXPECT_EQ(windowed.exit_code, 0) << windowed.out;
   std::vector<std::string> answered;
   std::istringstream lines(windowed.out);
@@ -791,7 +751,7 @@ TEST(FleetCli, PipelinedClientWindowsNativeBodiesAndFailsOnUnansweredFrames) {
   ASSERT_EQ(::setenv("BISCHED_FAULT", "drop-after:1", 1), 0);
   engine::fault::refresh_from_env();
   const std::string path = (dir / "w0.inst").string();
-  const RouteRun dropped =
+  const CliRun dropped =
       pipelined("solve " + path + " d0\nsolve " + path + " d1\n", "1");
   EXPECT_EQ(dropped.exit_code, 1) << dropped.out;
   EXPECT_NE(dropped.out.find("\"id\": \"d0\""), std::string::npos) << dropped.out;

@@ -7,8 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
@@ -19,10 +19,12 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "cli_process.hpp"
 #include "engine/fault.hpp"
 #include "engine/portfolio.hpp"
 #include "io/format.hpp"
@@ -801,21 +803,10 @@ class ServeCliTest : public ::testing::Test {
  protected:
   // Launches `bisched_cli serve --stable --threads=1` with both ends piped.
   void SetUp() override {
-    ASSERT_EQ(::pipe(to_child_), 0);
-    ASSERT_EQ(::pipe(from_child_), 0);
-    child_ = ::fork();
-    ASSERT_GE(child_, 0);
-    if (child_ == 0) {
-      ::dup2(to_child_[0], STDIN_FILENO);
-      ::dup2(from_child_[1], STDOUT_FILENO);
-      ::close(to_child_[0]);
-      ::close(to_child_[1]);
-      ::close(from_child_[0]);
-      ::close(from_child_[1]);
-      ::execl(BISCHED_CLI_PATH, BISCHED_CLI_PATH, "serve", "--stable",
-              "--threads=1", static_cast<char*>(nullptr));
-      ::_exit(127);  // exec failed
-    }
+    ASSERT_EQ(::pipe2(to_child_, O_CLOEXEC), 0);
+    ASSERT_EQ(::pipe2(from_child_, O_CLOEXEC), 0);
+    child_.emplace(std::vector<std::string>{"serve", "--stable", "--threads=1"},
+                   testing::EnvEdits{}, to_child_[0], from_child_[1], -1);
     ::close(to_child_[0]);
     ::close(from_child_[1]);
   }
@@ -823,10 +814,7 @@ class ServeCliTest : public ::testing::Test {
   void TearDown() override {
     if (to_child_[1] >= 0) ::close(to_child_[1]);
     ::close(from_child_[0]);
-    if (child_ > 0) {
-      int status = 0;
-      ::waitpid(child_, &status, 0);
-    }
+    child_->wait();  // stdin's EOF ends the session
   }
 
   void send(const std::string& text) {
@@ -852,7 +840,7 @@ class ServeCliTest : public ::testing::Test {
 
   int to_child_[2] = {-1, -1};
   int from_child_[2] = {-1, -1};
-  pid_t child_ = -1;
+  std::optional<testing::CliChild> child_;
 };
 
 TEST_F(ServeCliTest, TwoSequentialRequestsOneProcessWarmCacheHit) {
@@ -876,6 +864,7 @@ TEST_F(ServeCliTest, TwoSequentialRequestsOneProcessWarmCacheHit) {
   ASSERT_NE(second.find("\"id\": \"r2\""), std::string::npos) << second;
   EXPECT_NE(second.find("\"status\": \"ok\""), std::string::npos) << second;
   EXPECT_NE(second.find("\"cache\": \"hit-memory\""), std::string::npos) << second;
+  EXPECT_NE(second.find("\"solve_cache\": \"hit-memory\""), std::string::npos) << second;
 
   // Same content -> byte-identical result fields apart from id, seq, and
   // the cache provenances (both the probe and the solve were served warm the

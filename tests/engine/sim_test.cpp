@@ -1,17 +1,13 @@
 // Simulator tests: the scenario codec (golden-pinned canonical encoding,
 // seed determinism, trace round trips), the in-process driver (cache-warmth
-// dynamics must show up in the tier counters), the report renderers, the
-// bench-history namespace, and the acceptance path — a subprocess
-// `bisched_cli route` fleet with BISCHED_FAULT crashing a backend mid-replay,
-// where the driver must complete with zero visible errors while the report
-// carries the router's retry/respawn counters.
+// dynamics must show up in the tier counters), the report renderers, and
+// the acceptance path — a subprocess `bisched_cli route` fleet with
+// BISCHED_FAULT crashing a backend mid-replay, where the driver must
+// complete with zero visible errors while the report carries the router's
+// retry/respawn counters.
 #include "engine/sim/scenario.hpp"
 
 #include <gtest/gtest.h>
-
-#include <fcntl.h>
-#include <sys/wait.h>
-#include <unistd.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -20,12 +16,10 @@
 #include <string>
 #include <vector>
 
+#include "cli_process.hpp"
 #include "engine/sim/driver.hpp"
 #include "engine/sim/report.hpp"
-#include "engine/store/bench_history.hpp"
-#include "engine/store/cache_store.hpp"
 #include "engine/telemetry/metrics.hpp"
-#include "engine/transport.hpp"
 #include "io/jsonl.hpp"
 
 namespace bisched {
@@ -269,36 +263,6 @@ TEST(SimReport, JsonAndHtmlCarryThePhaseRows) {
   EXPECT_NE(html.find("</html>"), std::string::npos);
 }
 
-// ----------------------------------------------------------- bench history ---
-
-TEST(BenchHistory, AppendsAndListsAcrossReopens) {
-  const auto dir = fs::temp_directory_path() / "bisched_sim_history";
-  fs::remove_all(dir);
-
-  std::string error;
-  ASSERT_TRUE(engine::store::append_bench_history_at(
-      dir.string(), "sim", "{\"bench\": \"sim\", \"rows\": []}\n", &error))
-      << error;
-  ASSERT_TRUE(engine::store::append_bench_history_at(
-      dir.string(), "hotpaths", "{\"bench\": \"hotpaths\", \"rows\": []}\n",
-      &error))
-      << error;
-
-  auto store = engine::store::CacheStore::open(dir.string(), &error);
-  ASSERT_NE(store, nullptr) << error;
-  auto* tier = store->open_namespace(engine::store::bench_history_namespace());
-  const auto entries = engine::store::list_bench_history(*tier);
-  ASSERT_EQ(entries.size(), 2u);
-  // Sorted by key: bench name first.
-  EXPECT_EQ(entries[0].bench, "hotpaths");
-  EXPECT_EQ(entries[1].bench, "sim");
-  EXPECT_GT(entries[0].recorded_ms, 0);
-  EXPECT_GT(entries[1].bytes, 0u);
-  store.reset();
-
-  fs::remove_all(dir);
-}
-
 // ----------------------------------------------------- acceptance (fleet) ---
 // Subprocess `bisched_cli route` fleet on a unix socket with a backend that
 // BISCHED_FAULT-crashes mid-replay: the driver completes every request with
@@ -312,35 +276,13 @@ TEST(SimCli, FleetReplayAbsorbsABackendCrashInvisibly) {
   fs::create_directories(dir);
   const std::string socket_path = (dir / "route.sock").string();
 
-  const pid_t pid = ::fork();
-  ASSERT_GE(pid, 0);
-  if (pid == 0) {
-    // Crash backend 0 after 5 solve frames; the supervisor respawns it (with
-    // the fault still armed, so it keeps crashing — the router must keep
-    // absorbing). Quiet stdio: the socket is the only interface used.
-    ::setenv("BISCHED_FAULT", "backend=0;crash-after:5", 1);
-    const int null_fd = ::open("/dev/null", O_RDWR);
-    ::dup2(null_fd, STDIN_FILENO);
-    ::dup2(null_fd, STDOUT_FILENO);
-    ::execl(BISCHED_CLI_PATH, BISCHED_CLI_PATH, "route", "--fleet=2", "--stable",
-            "--deadline-ms=20000", ("--listen=unix:" + socket_path).c_str(),
-            static_cast<char*>(nullptr));
-    ::_exit(127);
-  }
-
-  // Wait for the listener.
-  bool up = false;
-  for (int i = 0; i < 500 && !up; ++i) {
-    std::string error;
-    const int fd = engine::unix_connect(socket_path, &error);
-    if (fd >= 0) {
-      ::close(fd);
-      up = true;
-    } else {
-      ::usleep(20'000);
-    }
-  }
-  ASSERT_TRUE(up) << "router never started listening";
+  // Crash backend 0 after 5 solve frames; the supervisor respawns it (with
+  // the fault still armed, so it keeps crashing — the router must keep
+  // absorbing).
+  testing::CliServer fleet({"route", "--fleet=2", "--stable", "--deadline-ms=20000",
+                            "--listen=unix:" + socket_path},
+                           {{"BISCHED_FAULT", "backend=0;crash-after:5"}});
+  ASSERT_TRUE(fleet.ready()) << "router never started listening: " << fleet.log();
 
   std::string error;
   const auto scenario = engine::sim::parse_scenario(small_scenario_text(), &error);
@@ -385,14 +327,7 @@ TEST(SimCli, FleetReplayAbsorbsABackendCrashInvisibly) {
   EXPECT_NE(json.find("\"server_respawns\": "), std::string::npos) << json;
 
   // Shut the fleet down and reap it.
-  const int fd = engine::unix_connect(socket_path, &error);
-  ASSERT_GE(fd, 0) << error;
-  const char* bye = "shutdown\n";
-  ASSERT_EQ(::write(fd, bye, 9), 9);
-  ::close(fd);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  EXPECT_TRUE(WIFEXITED(status));
+  EXPECT_NE(fleet.stop(), -1) << fleet.log();
 
   fs::remove_all(dir);
 }

@@ -21,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_process.hpp"
 #include "engine/api.hpp"
 #include "engine/registry.hpp"
 #include "engine/store/codec.hpp"
@@ -372,10 +373,12 @@ TEST(WarmStateStore, SecondHandleOverTheSameDirectoryServesDiskTierHits) {
     ASSERT_TRUE(cold.ok) << cold.error;
     EXPECT_EQ(cold.cache_tier, CacheTier::kMiss);
     EXPECT_EQ(cold.result_tier, CacheTier::kMiss);
-    // Same handle, same process: memory tier.
+    // Same handle, same process: memory tier, and the same answer.
     const auto warm = engine::run_parsed(registry, first, "auto", {}, parse());
     EXPECT_EQ(warm.cache_tier, CacheTier::kMemory);
     EXPECT_EQ(warm.result_tier, CacheTier::kMemory);
+    EXPECT_EQ(warm.solver, cold.solver);
+    EXPECT_EQ(warm.makespan, cold.makespan);
     ASSERT_TRUE(first.checkpoint(&message)) << message;
   }
 
@@ -486,36 +489,9 @@ TEST(StoreLease, SecondLiveOpenerDegradesToReadOnlyAndStaleLeasesAreBroken) {
 
 #ifdef BISCHED_CLI_PATH
 
-std::string run_cli(const std::vector<std::string>& args, int* exit_code) {
-  int out_pipe[2] = {-1, -1};
-  if (::pipe(out_pipe) != 0) return {};
-  const pid_t pid = ::fork();
-  if (pid < 0) return {};
-  if (pid == 0) {
-    ::dup2(out_pipe[1], STDOUT_FILENO);
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
-    if (FILE* null = std::fopen("/dev/null", "w")) {
-      ::dup2(::fileno(null), STDERR_FILENO);
-    }
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(BISCHED_CLI_PATH));
-    for (const auto& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
-    argv.push_back(nullptr);
-    ::execv(BISCHED_CLI_PATH, argv.data());
-    ::_exit(127);
-  }
-  ::close(out_pipe[1]);
-  std::string out;
-  char buf[4096];
-  ssize_t n = 0;
-  while ((n = ::read(out_pipe[0], buf, sizeof buf)) > 0) out.append(buf, static_cast<std::size_t>(n));
-  ::close(out_pipe[0]);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return out;
-}
+using testing::CliRun;
+using testing::EnvEdits;
+using testing::run_cli;
 
 TEST(StoreCli, SecondProcessHitsDiskWithResponsesBitIdenticalToStoreOff) {
   TempDir dir("bisched_store_cli");
@@ -532,20 +508,20 @@ TEST(StoreCli, SecondProcessHitsDiskWithResponsesBitIdenticalToStoreOff) {
   auto with_store = base;
   with_store.insert(with_store.begin() + 1, "--store=" + store_dir);
 
-  int exit_code = -1;
-  const std::string first = run_cli(with_store, &exit_code);
-  ASSERT_EQ(exit_code, 0) << first;
-  EXPECT_NE(first.find("\"solve_cache\": \"miss\""), std::string::npos) << first;
+  const CliRun first = run_cli(with_store);
+  ASSERT_EQ(first.exit_code, 0) << first.out;
+  EXPECT_NE(first.out.find("\"solve_cache\": \"miss\""), std::string::npos) << first.out;
 
   // Process #2, same store: both the probe and the full solve come off disk.
-  const std::string second = run_cli(with_store, &exit_code);
-  ASSERT_EQ(exit_code, 0) << second;
-  EXPECT_NE(second.find("\"cache\": \"hit-disk\""), std::string::npos) << second;
-  EXPECT_NE(second.find("\"solve_cache\": \"hit-disk\""), std::string::npos) << second;
+  const CliRun second = run_cli(with_store);
+  ASSERT_EQ(second.exit_code, 0) << second.out;
+  EXPECT_NE(second.out.find("\"cache\": \"hit-disk\""), std::string::npos) << second.out;
+  EXPECT_NE(second.out.find("\"solve_cache\": \"hit-disk\""), std::string::npos)
+      << second.out;
 
   // Process #3, no store at all.
-  const std::string without = run_cli(base, &exit_code);
-  ASSERT_EQ(exit_code, 0) << without;
+  const CliRun without = run_cli(base);
+  ASSERT_EQ(without.exit_code, 0) << without.out;
 
   // Bit-identical modulo provenance: normalize ONLY the two cache fields
   // and require byte equality of the full v1 line (wall_ms is zeroed by
@@ -559,54 +535,8 @@ TEST(StoreCli, SecondProcessHitsDiskWithResponsesBitIdenticalToStoreOff) {
     replace("\"solve_cache\": \"hit-disk\"", "\"solve_cache\": \"miss\"");
     return line;
   };
-  EXPECT_EQ(normalized(second), without);
-  EXPECT_EQ(first, without);
-}
-
-// Like run_cli, but with BISCHED_FAULT armed in the child and stderr
-// captured (the store's load/lease reports go there).
-std::string run_cli_fault(const std::vector<std::string>& args, const char* fault,
-                          int* exit_code, std::string* err_text) {
-  int out_pipe[2] = {-1, -1};
-  int err_pipe[2] = {-1, -1};
-  if (::pipe(out_pipe) != 0 || ::pipe(err_pipe) != 0) return {};
-  const pid_t pid = ::fork();
-  if (pid < 0) return {};
-  if (pid == 0) {
-    ::dup2(out_pipe[1], STDOUT_FILENO);
-    ::dup2(err_pipe[1], STDERR_FILENO);
-    ::close(out_pipe[0]);
-    ::close(out_pipe[1]);
-    ::close(err_pipe[0]);
-    ::close(err_pipe[1]);
-    if (fault != nullptr) {
-      ::setenv("BISCHED_FAULT", fault, 1);
-    } else {
-      ::unsetenv("BISCHED_FAULT");
-    }
-    std::vector<char*> argv;
-    argv.push_back(const_cast<char*>(BISCHED_CLI_PATH));
-    for (const auto& arg : args) argv.push_back(const_cast<char*>(arg.c_str()));
-    argv.push_back(nullptr);
-    ::execv(BISCHED_CLI_PATH, argv.data());
-    ::_exit(127);
-  }
-  ::close(out_pipe[1]);
-  ::close(err_pipe[1]);
-  const auto drain = [](int fd) {
-    std::string text;
-    char buf[4096];
-    ssize_t n = 0;
-    while ((n = ::read(fd, buf, sizeof buf)) > 0) text.append(buf, static_cast<std::size_t>(n));
-    ::close(fd);
-    return text;
-  };
-  const std::string out = drain(out_pipe[0]);
-  *err_text = drain(err_pipe[0]);
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  *exit_code = WIFEXITED(status) ? WEXITSTATUS(status) : -1;
-  return out;
+  EXPECT_EQ(normalized(second.out), without.out);
+  EXPECT_EQ(first.out, without.out);
 }
 
 // Process-granularity crash safety: a CLI process KILLED mid-journal-append
@@ -636,50 +566,46 @@ TEST(StoreCli, ProcessDeathMidJournalAppendIsRepairedOnTheNextOpen) {
                                     "--json", "--stable", file};
   };
 
-  int exit_code = -1;
-  std::string err;
   // Seed the store (clean exit): the survivor's entries are durable.
-  const std::string seeded =
-      run_cli_fault(solve_args(survivor_file), nullptr, &exit_code, &err);
-  ASSERT_EQ(exit_code, 0) << seeded << err;
-  EXPECT_NE(seeded.find("\"solve_cache\": \"miss\""), std::string::npos) << seeded;
+  const CliRun seeded = run_cli(solve_args(survivor_file));
+  ASSERT_EQ(seeded.exit_code, 0) << seeded.out << seeded.err;
+  EXPECT_NE(seeded.out.find("\"solve_cache\": \"miss\""), std::string::npos) << seeded.out;
 
   // The victim run dies INSIDE its first journal append — a real process
   // death with half a record flushed, not a simulated truncate.
-  run_cli_fault(solve_args(victim_file), "torn-journal:0", &exit_code, &err);
-  ASSERT_EQ(exit_code, 42) << err;
+  const CliRun victim_run =
+      run_cli(solve_args(victim_file), "", EnvEdits{{"BISCHED_FAULT", "torn-journal:0"}});
+  ASSERT_EQ(victim_run.exit_code, 42) << victim_run.err;
 
   // Next process: the tear is repaired and reported on stderr; the
   // survivor still answers from the disk tier.
-  const std::string recovered =
-      run_cli_fault(solve_args(survivor_file), nullptr, &exit_code, &err);
-  ASSERT_EQ(exit_code, 0) << recovered << err;
-  EXPECT_NE(err.find("torn"), std::string::npos) << err;
-  EXPECT_NE(recovered.find("\"cache\": \"hit-disk\""), std::string::npos) << recovered;
-  EXPECT_NE(recovered.find("\"solve_cache\": \"hit-disk\""), std::string::npos)
-      << recovered;
+  const CliRun recovered = run_cli(solve_args(survivor_file));
+  ASSERT_EQ(recovered.exit_code, 0) << recovered.out << recovered.err;
+  EXPECT_NE(recovered.err.find("torn"), std::string::npos) << recovered.err;
+  EXPECT_NE(recovered.out.find("\"cache\": \"hit-disk\""), std::string::npos)
+      << recovered.out;
+  EXPECT_NE(recovered.out.find("\"solve_cache\": \"hit-disk\""), std::string::npos)
+      << recovered.out;
 
   // The victim's own entry never made it in: it re-solves as a miss (and
   // this clean run leaves a repaired store behind — no more warnings).
-  const std::string resolved =
-      run_cli_fault(solve_args(victim_file), nullptr, &exit_code, &err);
-  ASSERT_EQ(exit_code, 0) << resolved << err;
-  EXPECT_NE(resolved.find("\"solve_cache\": \"miss\""), std::string::npos) << resolved;
-  const std::string clean =
-      run_cli_fault(solve_args(victim_file), nullptr, &exit_code, &err);
-  ASSERT_EQ(exit_code, 0) << clean << err;
-  EXPECT_EQ(err.find("torn"), std::string::npos) << err;
+  const CliRun resolved = run_cli(solve_args(victim_file));
+  ASSERT_EQ(resolved.exit_code, 0) << resolved.out << resolved.err;
+  EXPECT_NE(resolved.out.find("\"solve_cache\": \"miss\""), std::string::npos)
+      << resolved.out;
+  const CliRun clean = run_cli(solve_args(victim_file));
+  ASSERT_EQ(clean.exit_code, 0) << clean.out << clean.err;
+  EXPECT_EQ(clean.err.find("torn"), std::string::npos) << clean.err;
 }
 
 TEST(CliCatalog, ListAlgsJsonReportsResolvedSimdLevel) {
-  int exit_code = -1;
-  const std::string out = run_cli({"list-algs", "--json"}, &exit_code);
-  ASSERT_EQ(exit_code, 0) << out;
+  const CliRun run = run_cli({"list-algs", "--json"});
+  ASSERT_EQ(run.exit_code, 0) << run.out;
   // The subprocess inherits this process's environment, so it resolves the
   // same level simd_level() reports here (BISCHED_SIMD override included).
-  EXPECT_NE(out.find(std::string("\"simd\": \"") + to_string(simd_level()) + "\""),
+  EXPECT_NE(run.out.find(std::string("\"simd\": \"") + to_string(simd_level()) + "\""),
             std::string::npos)
-      << out;
+      << run.out;
 }
 
 #endif  // BISCHED_CLI_PATH

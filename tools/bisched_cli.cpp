@@ -58,7 +58,6 @@
 #include "engine/sim/driver.hpp"
 #include "engine/sim/report.hpp"
 #include "engine/sim/scenario.hpp"
-#include "engine/store/bench_history.hpp"
 #include "engine/telemetry/metrics.hpp"
 #include "engine/transport.hpp"
 #include "io/format.hpp"
@@ -113,11 +112,12 @@ int usage() {
       "              [--connect=unix:PATH | tcp:HOST:PORT] (default: in-process)\n"
       "              [--connections=N] [--sla-ms=MS] [--timeout-ms=MS]\n"
       "              [--max-attempts=K] [--alg=NAME|auto] [--eps=E] [--stable]\n"
-      "              [--store=DIR] [--json-out=FILE] [--html-out=FILE]\n"
-      "              [--trace-out=FILE] [--out=FILE] [--auth-token=T]\n"
+      "              [--store=DIR] (in-process runs only) [--json-out=FILE]\n"
+      "              [--html-out=FILE] [--trace-out=FILE] [--out=FILE]\n"
+      "              [--auth-token=T]\n"
       "              (trace-driven open-loop load replay; see docs/sim.md)\n"
-      "  bisched_cli stats --store=DIR (what a warm store holds: cache\n"
-      "              namespaces and recorded bench-history runs)\n"
+      "  bisched_cli stats --store=DIR (entry counts of a warm store's\n"
+      "              cache namespaces)\n"
       "  bisched_cli list-algs [--json]\n"
       "  bisched_cli gen gilbert --n=N --a=A --m=M [--smax=S] [--seed=SEED]\n"
       "  bisched_cli gen crown --n=N --m=M [--wmax=W] [--seed=SEED]\n"
@@ -823,7 +823,7 @@ int run_pipelined_client(engine::FdTransport& transport, int fd,
 
 // Minimal peer for socket serve: pumps stdin frames to the server and echoes
 // response lines to stdout until the server closes the connection. Used by
-// the CI smoke and handy for manual poking; any language with a unix-socket
+// the CLI tests and handy for manual poking; any language with a unix-socket
 // client can do the same.
 int cmd_client(int argc, char** argv) {
   const Endpoint connect = flag_endpoint(argc, argv, "connect");
@@ -962,6 +962,13 @@ int cmd_sim(int argc, char** argv) {
   if (!have_scenario && !have_trace_in) {
     std::cerr << "sim needs --scenario=FILE or --trace-in=FILE\n";
     return usage();
+  }
+  std::string unused;
+  if (flag_value(argc, argv, "connect", &unused) &&
+      flag_value(argc, argv, "store", &unused)) {
+    std::cerr << "sim: --store applies to in-process runs only (a live run's "
+                 "caches are the server's)\n";
+    return 2;
   }
 
   std::string error;
@@ -1115,28 +1122,6 @@ int cmd_sim(int argc, char** argv) {
     }
   }
 
-  // The run also lands in the store's bench-history when --store is given:
-  // through the warm state's own handle in-process (no lease race with the
-  // caches), through a standalone open for live runs.
-  std::string store_dir;
-  if (flag_value(argc, argv, "store", &store_dir) && !store_dir.empty()) {
-    std::string hist_error;
-    bool recorded = false;
-    if (warm != nullptr) {
-      recorded = warm->persistent() &&
-                 engine::store::append_bench_history(warm->bench_history(), "sim",
-                                                     json, &hist_error);
-    } else {
-      recorded =
-          engine::store::append_bench_history_at(store_dir, "sim", json, &hist_error);
-    }
-    if (recorded) {
-      std::cerr << "sim: recorded run into " << store_dir << " bench-history\n";
-    } else if (!hist_error.empty()) {
-      std::cerr << "sim: bench-history: " << hist_error << "\n";
-    }
-  }
-
   // Human-facing summary on stdout; the JSON/HTML carry the full detail.
   TextTable table("sim: " + trace.scenario + " (seed " + std::to_string(trace.seed) +
                   ", " + mode + ", " + std::to_string(options.connections) +
@@ -1160,9 +1145,9 @@ int cmd_sim(int argc, char** argv) {
 
 // ------------------------------------------------------------------ stats ---
 
-// What a --store=DIR directory holds: both cache namespaces' entry counts
-// and every recorded bench-history run. Read-only degrade (another process
-// holding the write lease) still lists everything.
+// What a --store=DIR directory holds: both cache namespaces' entry counts.
+// Read-only degrade (another process holding the write lease) still counts
+// everything.
 int cmd_stats(int argc, char** argv) {
   std::string store_dir;
   if (!flag_value(argc, argv, "store", &store_dir) || store_dir.empty()) {
@@ -1182,17 +1167,6 @@ int cmd_stats(int argc, char** argv) {
   const auto result = warm->results().stats();
   std::cout << "profile namespace: " << probe.disk_entries << " entries\n";
   std::cout << "result namespace: " << result.disk_entries << " entries\n";
-  const auto history = engine::store::list_bench_history(*warm->bench_history());
-  std::cout << "bench-history: " << history.size() << " recorded runs\n";
-  if (!history.empty()) {
-    TextTable table;
-    table.set_header({"bench", "recorded_ms", "bytes", "key"});
-    for (const auto& entry : history) {
-      table.add_row({entry.bench, std::to_string(entry.recorded_ms),
-                     std::to_string(entry.bytes), entry.key});
-    }
-    table.print(std::cout);
-  }
   return 0;
 }
 
