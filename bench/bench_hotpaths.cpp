@@ -13,13 +13,14 @@
 // the shipped kernel's per-trial latency from a telemetry histogram (the same
 // bucket ladder and percentile math the serve scrape path exposes). --quick
 // shrinks sizes and repetitions; ctest runs it that way and checks the
-// report's rows (bench/check_hotpaths.cmake).
+// report's rows (bench/check_hotpaths.cmake). Any other argument exits 2.
 //
 //   --quick          CI-sized run (seconds, not minutes)
 //   --json-out=PATH  where to write the JSON report
 #include <cstdlib>
 #include <iostream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <algorithm>
@@ -558,12 +559,25 @@ void io_bench(bench::JsonReport& report, bool quick) {
 
 int main(int argc, char** argv) {
   using namespace bisched;
-  const bool quick = bench::parse_switch(argc, argv, "quick");
+  bool quick = false;
+  std::string report_path = "BENCH_hotpaths.json";
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (arg == "--quick") {
+      quick = true;
+    } else if (arg.starts_with("--json-out=")) {
+      report_path = arg.substr(std::string_view("--json-out=").size());
+    } else {
+      std::cerr << "unknown argument '" << arg
+                << "'\nusage: bench_hotpaths [--quick] [--json-out=PATH]\n";
+      return 2;
+    }
+  }
   bench::banner("HOTPATHS — DP-grid, min-cut and request-reading paths, before vs. after",
                 "Arena + in-place window-pruned DP, CSR Dinic and the one-pass "
                 "request read return bit-identical results at a fraction of the "
                 "old cost");
-  bench::JsonReport report("hotpaths", argc, argv);
+  bench::JsonReport report("hotpaths", report_path);
   r2_kernel_bench(report, quick);
   r3_kernel_bench(report, quick);
   probe_mode_bench(report, quick);

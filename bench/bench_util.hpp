@@ -1,16 +1,13 @@
-// Shared plumbing for the experiment binaries: banner printing, the default
-// Monte-Carlo settings, and machine-readable output. Every binary prints one
-// or more TextTables — the repository's reproduction of the paper's
-// (theorem-level) results — and exits 0; `for b in build/bench/*; do $b; done`
-// runs the full harness. bench_hotpaths additionally writes BENCH_hotpaths.json
-// through JsonReport, so runs diff without scraping tables, and exits 1 when
-// a shipped path differs from its reference (ctest runs it at --quick and
-// checks the report's rows, bench/check_hotpaths.cmake).
+// Shared plumbing for the experiment binaries: banner printing, the fixed
+// Monte-Carlo seed, and machine-readable output. bench_paper prints the
+// repository's reproduction of the paper's results as TextTables and exits 1
+// when a claim a table states fails; bench_hotpaths writes its report through
+// JsonReport, so runs diff without scraping tables, and exits 1 when a
+// shipped path differs from its reference. ctest runs both (bench_hotpaths at
+// --quick, checked by bench/check_hotpaths.cmake).
 #pragma once
 
-#include <charconv>
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -18,47 +15,10 @@
 #include <vector>
 
 #include "io/jsonl.hpp"
-#include "util/parallel.hpp"
 #include "util/table.hpp"
 #include "util/timer.hpp"
 
 namespace bisched::bench {
-
-// --threads=N from argv; malformed values warn and fall back to all cores.
-inline unsigned parse_threads(int argc, char** argv) {
-  for (int i = 1; i < argc; ++i) {
-    const char* prefix = "--threads=";
-    if (std::strncmp(argv[i], prefix, std::strlen(prefix)) == 0) {
-      const char* value = argv[i] + std::strlen(prefix);
-      unsigned parsed = 0;
-      const auto [ptr, ec] = std::from_chars(value, value + std::strlen(value), parsed);
-      if (ec == std::errc() && *ptr == '\0' && parsed > 0) return parsed;
-      std::cerr << "bad --threads value '" << value << "', using default\n";
-    }
-  }
-  return default_thread_count();
-}
-
-// --NAME=VALUE from argv, or `fallback` when absent.
-inline std::string parse_flag(int argc, char** argv, const char* name,
-                              const std::string& fallback = "") {
-  const std::string prefix = std::string("--") + name + "=";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], prefix.c_str(), prefix.size()) == 0) {
-      return argv[i] + prefix.size();
-    }
-  }
-  return fallback;
-}
-
-// Bare --NAME present? (e.g. --quick for CI-sized runs.)
-inline bool parse_switch(int argc, char** argv, const char* name) {
-  const std::string bare = std::string("--") + name;
-  for (int i = 1; i < argc; ++i) {
-    if (bare == argv[i]) return true;
-  }
-  return false;
-}
 
 inline void banner(const std::string& experiment, const std::string& claim) {
   std::cout << "\n############################################################\n"
@@ -75,10 +35,9 @@ constexpr std::uint64_t kBenchSeed = 0xB15C4EDu;
 // One JsonField is one `"key": value` member; a row is a brace-enclosed list
 // of them; the report is a single JSON document
 //   {"bench": "<name>", "rows": [ {...}, {...} ]}
-// written to BENCH_<name>.json (cwd) or the --json-out=PATH override on
-// destruction. Strings go through io/jsonl's json_quote — the same escaping
-// the serving stack uses — and doubles through fmt_double_exact, so the file
-// always parses.
+// written to the path the bench passes in, on destruction. Strings go through
+// io/jsonl's json_quote — the same escaping the serving stack uses — and
+// doubles through fmt_double_exact, so the file always parses.
 
 struct JsonField {
   JsonField(const char* key, double value)
@@ -104,11 +63,9 @@ struct JsonField {
 
 class JsonReport {
  public:
-  // `name` is the bench's short name ("hotpaths" -> BENCH_hotpaths.json);
-  // argv is scanned for a --json-out=PATH override.
-  JsonReport(std::string name, int argc, char** argv)
-      : name_(std::move(name)),
-        path_(parse_flag(argc, argv, "json-out", "BENCH_" + name_ + ".json")) {}
+  // `name` is the bench's short name, the document's "bench" member.
+  JsonReport(std::string name, std::string path)
+      : name_(std::move(name)), path_(std::move(path)) {}
 
   JsonReport(const JsonReport&) = delete;
   JsonReport& operator=(const JsonReport&) = delete;

@@ -1,11 +1,18 @@
 # Runs bench_hotpaths at --quick and checks its report: the bench exits 0
 # (every row's `identical` is true), the report parses as JSON, and its rows
 # cover the R2 FPTAS kernel, the three request-reading rows, the scalar ISA
-# axis, both probe modes and the latency percentiles.
+# axis, both probe modes and the latency percentiles. A misspelled argument
+# exits 2 before anything runs.
 #
 #   cmake -DBENCH=build/bench/bench_hotpaths -DREPORT=BENCH_hotpaths.json \
 #         -P bench/check_hotpaths.cmake
 cmake_minimum_required(VERSION 3.20)
+
+execute_process(COMMAND "${BENCH}" --quik
+                RESULT_VARIABLE status OUTPUT_VARIABLE output ERROR_VARIABLE output)
+if(NOT status EQUAL 2)
+  message(FATAL_ERROR "bench_hotpaths --quik exited ${status}, expected 2:\n${output}")
+endif()
 
 execute_process(COMMAND "${BENCH}" --quick "--json-out=${REPORT}"
                 RESULT_VARIABLE status OUTPUT_VARIABLE output ERROR_VARIABLE output)

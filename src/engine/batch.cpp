@@ -5,7 +5,6 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
-#include <ostream>
 #include <utility>
 
 #include "util/check.hpp"
@@ -150,15 +149,6 @@ std::vector<BatchRow> BatchRunner::run(const std::vector<std::string>& paths) co
   std::sort(rows.begin(), rows.end(),
             [](const BatchRow& a, const BatchRow& b) { return a.seq < b.seq; });
   return rows;
-}
-
-void write_rows_csv(std::ostream& out, std::span<const BatchRow> rows) {
-  write_row_header_csv(out);
-  for (const BatchRow& row : rows) write_row_csv(out, row);
-}
-
-void write_rows_json(std::ostream& out, std::span<const BatchRow> rows) {
-  for (const BatchRow& row : rows) write_row_json(out, row);
 }
 
 }  // namespace bisched::engine

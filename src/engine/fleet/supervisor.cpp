@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <signal.h>
+#include <sys/prctl.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -85,6 +86,7 @@ bool Supervisor::spawn_locked(std::size_t i, std::string* error) {
     return false;
   }
 
+  const pid_t router = ::getpid();
   const pid_t pid = ::fork();
   if (pid < 0) {
     ::close(pipe_fds[0]);
@@ -93,12 +95,21 @@ bool Supervisor::spawn_locked(std::size_t i, std::string* error) {
     return false;
   }
   if (pid == 0) {
-    // Child. stderr -> the relay pipe (the port banner travels this way),
-    // then drop every other inherited descriptor — the router's listener,
-    // sibling pipes, client sockets — so fleet teardown is never held open
-    // by a backend's stray dup.
+    // Child. A backend dies with its router: one killed by SIGKILL never
+    // runs stop(), and its backends would keep listening under pid 1. The
+    // signal fires when the *thread* that forked exits, not the process.
+    // Respawns fork on the maintenance thread, which ~Router joins before
+    // stop() sends its own SIGTERM; that signal is serve's drain-and-
+    // checkpoint path too, so whichever lands first, shutdown runs the same.
+    // The getppid() check covers a router that died before prctl ran.
+    ::prctl(PR_SET_PDEATHSIG, SIGTERM);
+    if (::getppid() != router) ::_exit(1);
+    // stderr -> the relay pipe (the port banner travels this way), then drop
+    // every other inherited descriptor — the router's listener, sibling
+    // pipes, client sockets, however many it holds — so fleet teardown is
+    // never held open by a backend's stray dup.
     ::dup2(pipe_fds[1], 2);
-    for (int fd = 3; fd < 1024; ++fd) ::close(fd);
+    ::close_range(3, ~0U, 0);
     ::execve(argv[0], argv.data(), envp.data());
     const char* msg = "supervisor: execve failed\n";
     ssize_t ignored = ::write(2, msg, std::strlen(msg));

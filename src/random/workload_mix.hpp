@@ -5,10 +5,10 @@
 // instances from family F at size n" — this module is the hook it samples
 // through, so the set of families a scenario can name lives next to the
 // generators themselves rather than inside the simulator. `bisched_cli gen`
-// and a scenario phase that name the same family + knobs produce the same
-// distribution (both call these generators); given one Rng stream the draw
-// is deterministic bit-for-bit, which is what makes a generated trace
-// replayable byte-identically.
+// samples through it too, so gen and a scenario phase that name the same
+// family + knobs draw the same way and refuse the same out-of-range knobs;
+// given one Rng stream the draw is deterministic bit-for-bit, which is what
+// makes a generated trace replayable byte-identically.
 #pragma once
 
 #include <cstdint>

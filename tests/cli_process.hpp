@@ -98,6 +98,9 @@ class CliChild {
     }
   }
 
+  // The child's pid until it is reaped, then -1.
+  pid_t pid() const { return pid_; }
+
   // Reaps the child: its exit code, or -1 when a signal ended it.
   // *max_rss_kib receives its peak resident set.
   int wait(long* max_rss_kib = nullptr) {
@@ -241,6 +244,7 @@ class CliServer {
   }
 
   bool ready() const { return !endpoint_.empty(); }
+  pid_t pid() const { return child_->pid(); }
   // "unix:PATH" or "tcp:HOST:PORT" as the banner announced it.
   const std::string& endpoint() const { return endpoint_; }
   std::string log() const {

@@ -101,9 +101,9 @@ TEST_F(BatchTest, SerializedOutputIsByteIdenticalModuloRowOrderAcrossThreads) {
     BatchRunner(SolverRegistry::builtin(), options)
         .run_streaming(paths, [&lines](const BatchRow& row) {
           std::ostringstream one;
-          engine::write_row_csv(one, row);
+          engine::write_response_csv(one, row);
           std::ostringstream one_json;
-          engine::write_row_json(one_json, row);
+          engine::write_response_json(one_json, row);
           lines.push_back(one.str() + one_json.str());
         });
     std::sort(lines.begin(), lines.end());
@@ -356,7 +356,8 @@ TEST_F(BatchTest, CsvAndJsonSerializeAllRows) {
   const std::vector<BatchRow> rows = {ok_row, bad_row};
 
   std::ostringstream csv;
-  engine::write_rows_csv(csv, rows);
+  engine::write_response_header_csv(csv);
+  for (const BatchRow& row : rows) engine::write_response_csv(csv, row);
   const std::string csv_text = csv.str();
   EXPECT_NE(csv_text.find("\"with,comma.inst\""), std::string::npos);
   EXPECT_NE(csv_text.find("7/2"), std::string::npos);
@@ -367,7 +368,7 @@ TEST_F(BatchTest, CsvAndJsonSerializeAllRows) {
   // JSON output is JSON Lines: one self-contained object per row, no array
   // framing, so streamed rows concatenate into valid output.
   std::ostringstream json;
-  engine::write_rows_json(json, rows);
+  for (const BatchRow& row : rows) engine::write_response_json(json, row);
   const std::string json_text = json.str();
   EXPECT_EQ(json_text.front(), '{');
   EXPECT_EQ(std::count(json_text.begin(), json_text.end(), '\n'), 2);  // 2 rows
@@ -388,14 +389,14 @@ TEST_F(BatchTest, WritersEscapeDelimitersConsistentlyAcrossFormats) {
   row.error = "line1\nline2 \"quoted\"";
 
   std::ostringstream csv;
-  engine::write_row_csv(csv, row);
+  engine::write_response_csv(csv, row);
   const std::string csv_text = csv.str();
   // RFC-4180: the field is quoted, embedded quotes doubled — a CSV reader
   // recovers the exact name.
   EXPECT_NE(csv_text.find("\"a,b\"\"c\nd\te\x01.inst\""), std::string::npos);
 
   std::ostringstream json;
-  engine::write_row_json(json, row);
+  engine::write_response_json(json, row);
   const std::string json_text = json.str();
   EXPECT_NE(json_text.find("a,b\\\"c\\nd\\te\\u0001.inst"), std::string::npos);
   EXPECT_NE(json_text.find("line1\\nline2 \\\"quoted\\\""), std::string::npos);
@@ -406,7 +407,7 @@ TEST_F(BatchTest, WritersEscapeDelimitersConsistentlyAcrossFormats) {
   // the same escaping.
   row.id = "req \"1\",\n2";
   std::ostringstream with_id;
-  engine::write_row_json(with_id, row);
+  engine::write_response_json(with_id, row);
   EXPECT_NE(with_id.str().find("\"id\": \"req \\\"1\\\",\\n2\""), std::string::npos);
 }
 

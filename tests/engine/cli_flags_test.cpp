@@ -1,15 +1,18 @@
 // CLI flag hygiene: a flag the subcommand does not read (a typo, or a
 // retired option such as --serve-core) exits 2 with a message naming it,
-// before the command runs; the flags the subcommand reads keep working.
-// Also the serve summary line on stderr, whose breakdown must add up.
+// before the command runs; the flags the subcommand reads keep working, and
+// `gen` refuses an out-of-range knob with exit 2 instead of aborting. Also
+// the serve summary line on stderr, whose breakdown must add up.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "cli_process.hpp"
+#include "util/fnv.hpp"
 
 namespace bisched {
 namespace {
@@ -55,6 +58,50 @@ TEST(CliFlags, SimStoreAppliesToInProcessRunsOnly) {
   EXPECT_EQ(run.exit_code, 2) << run.err;
   EXPECT_NE(run.err.find("--store applies to in-process runs only"), std::string::npos)
       << run.err;
+}
+
+TEST(CliFlags, GenRefusesOutOfRangeKnobsWithTheMixMessage) {
+  const struct {
+    std::vector<std::string> args;
+    const char* message;
+  } cases[] = {
+      {{"gen", "gilbert", "--smax=0"}, "gen: mix: gilbert needs smax >= 1"},
+      {{"gen", "gilbert", "--m=-1"}, "gen: mix: machines must be in [1, 4096]"},
+      {{"gen", "gilbert", "--n=0"}, "gen: mix: n must be in [1, 100000]"},
+      {{"gen", "gilbert", "--n=4294967297"}, "gen: mix: n must be in [1, 100000]"},
+      {{"gen", "gilbert", "--a=0"}, "gen: mix: gilbert needs a > 0"},
+      {{"gen", "crown", "--n=0"}, "gen: mix: n must be in [1, 100000]"},
+      {{"gen", "crown", "--wmax=0"}, "gen: mix: crown needs wmax >= 1"},
+      {{"gen", "r2", "--n=2", "--edges=9"}, "gen: mix: r2 edges must fit a*b"},
+  };
+  for (const auto& c : cases) {
+    const CliRun run = run_cli(c.args);
+    EXPECT_EQ(run.exit_code, 2) << c.message << ": " << run.err;
+    EXPECT_EQ(run.out, "") << c.message;
+    EXPECT_NE(run.err.find(c.message), std::string::npos) << run.err;
+  }
+}
+
+TEST(CliFlags, GenDefaultsPrintTheSameBytesAsBefore) {
+  // FNV-1a of `gen FAMILY --seed=7` as printed before gen sampled through
+  // random/workload_mix: the same generator calls in the same order.
+  const struct {
+    const char* family;
+    std::size_t bytes;
+    std::uint64_t hash;
+  } cases[] = {
+      {"gilbert", 1781, 0x57af481100e5f534ULL},
+      {"crown", 2233, 0x9862445d2257da50ULL},
+      {"r2", 757, 0xe6d4817b30529b51ULL},
+  };
+  for (const auto& c : cases) {
+    const CliRun run = run_cli({"gen", c.family, "--seed=7"});
+    ASSERT_EQ(run.exit_code, 0) << run.err;
+    Fnv1a hash;
+    hash.bytes(run.out);
+    EXPECT_EQ(run.out.size(), c.bytes) << c.family;
+    EXPECT_EQ(hash.value(), c.hash) << c.family;
+  }
 }
 
 TEST(CliServe, SummaryBreakdownAddsUpToTheRequestCount) {

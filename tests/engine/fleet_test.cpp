@@ -6,14 +6,17 @@
 // single-backend run byte-for-byte modulo placement provenance; a backend
 // SIGKILLed mid-stream costing no client-visible error; pooled backend
 // connections (reused on warm traffic, closed after a failed attempt,
-// dropped when their backend respawns); pipelined responses coming back
+// dropped when their backend respawns); backends exiting when their router
+// is SIGKILLed; pipelined responses coming back
 // from the router in send order; and `client --pipeline` windowing native
 // bodies and failing on unanswered frames.
 #include "engine/fleet/hash_ring.hpp"
 
 #include <gtest/gtest.h>
 
+#include <sys/prctl.h>
 #include <sys/socket.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -391,6 +394,67 @@ TEST(FleetCli, CrashMidBatchFailsOverInvisiblyAndMatchesSingleBackendRun) {
   }
 
   fs::remove_all(dir);
+}
+
+// The pids of the processes whose parent is `parent`, read from /proc.
+std::vector<pid_t> children_of(pid_t parent) {
+  std::vector<pid_t> children;
+  std::error_code ec;
+  for (const auto& entry : fs::directory_iterator("/proc", ec)) {
+    const std::string name = entry.path().filename();
+    if (name.find_first_not_of("0123456789") != std::string::npos) continue;
+    std::ifstream stat(entry.path() / "stat");
+    std::string line;
+    if (!std::getline(stat, line)) continue;
+    // "pid (comm) state ppid ...": comm may hold spaces and parentheses.
+    std::istringstream rest(line.substr(line.rfind(')') + 1));
+    char state = 0;
+    pid_t ppid = 0;
+    if (rest >> state >> ppid && ppid == parent) children.push_back(std::stoi(name));
+  }
+  return children;
+}
+
+// A router killed by SIGKILL never stops its fleet itself; the backends'
+// parent-death signal must. This process adopts the orphans (a subreaper),
+// so it can see them exit and reap them.
+TEST(FleetCli, BackendsExitWhenTheirRouterIsKilled) {
+  struct Subreaper {
+    Subreaper() { ::prctl(PR_SET_CHILD_SUBREAPER, 1); }
+    ~Subreaper() { ::prctl(PR_SET_CHILD_SUBREAPER, 0); }
+  } subreaper;
+  const fs::path sock = fs::temp_directory_path() /
+                        ("bisched_fleet_orphans_" + std::to_string(::getpid()) + ".sock");
+  testing::CliServer router({"route", "--fleet=2", "--listen=unix:" + sock.string()});
+  ASSERT_TRUE(router.ready()) << router.log();
+  // The router's banner comes before its fleet starts; wait for both backends'.
+  const auto up = [&router] {
+    const std::string log = router.log();
+    return log.find("[backend 0] serve: listening on") != std::string::npos &&
+           log.find("[backend 1] serve: listening on") != std::string::npos;
+  };
+  const auto start_deadline = std::chrono::steady_clock::now() + std::chrono::seconds(30);
+  while (!up() && std::chrono::steady_clock::now() < start_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  ASSERT_TRUE(up()) << router.log();
+  const std::vector<pid_t> backends = children_of(router.pid());
+  ASSERT_EQ(backends.size(), 2u) << router.log();
+
+  ASSERT_EQ(::kill(router.pid(), SIGKILL), 0);
+  EXPECT_EQ(router.stop(), -1);  // reaped; no `shutdown` reaches it now
+  std::vector<pid_t> alive = backends;
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(2);
+  while (!alive.empty() && std::chrono::steady_clock::now() < deadline) {
+    std::erase_if(alive, [](pid_t pid) { return ::waitpid(pid, nullptr, WNOHANG) == pid; });
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  for (pid_t pid : alive) {
+    ::kill(pid, SIGKILL);
+    ::waitpid(pid, nullptr, 0);
+  }
+  EXPECT_TRUE(alive.empty()) << alive.size() << " of 2 backends outlived their router by 2 s";
+  fs::remove(sock);
 }
 
 // `count` distinct small instances homed on `backend` of a two-backend ring.

@@ -2,7 +2,7 @@
 // round-trips, key sensitivity (alg / eps / options are part of the key, so
 // different requests never alias), the only-ok-results policy, LRU bounding
 // with eviction accounting, and the batch/serve integration through
-// solve_to_row (the `solve_cache` row field).
+// run_parsed (the `solve_cache` row field).
 #include "engine/result_cache.hpp"
 
 #include <gtest/gtest.h>
@@ -115,7 +115,7 @@ TEST(ResultCache, LruEvictsTheColdestEntryAndCounts) {
   EXPECT_EQ(cache.stats().evictions, 0u);
 }
 
-TEST(ResultCache, SolveToRowMemoizesRepeatedSolves) {
+TEST(ResultCache, RunParsedMemoizesRepeatedSolves) {
   Rng rng(51);
   const auto inst = testing::random_uniform_instance(5, 5, 2, 4, 3, rng);
   std::ostringstream text;
@@ -124,8 +124,8 @@ TEST(ResultCache, SolveToRowMemoizesRepeatedSolves) {
   engine::WarmState warm_state;
   const auto solve_once = [&] {
     std::istringstream in(text.str());
-    return engine::solve_to_row(engine::SolverRegistry::builtin(), warm_state, "auto",
-                                SolveOptions{}, parse_instance(in));
+    return engine::run_parsed(engine::SolverRegistry::builtin(), warm_state, "auto",
+                              SolveOptions{}, parse_instance(in));
   };
 
   const auto cold = solve_once();
@@ -146,8 +146,8 @@ TEST(ResultCache, SolveToRowMemoizesRepeatedSolves) {
   std::istringstream in(text.str());
   SolveOptions finer;
   finer.eps = 0.01;
-  const auto other = engine::solve_to_row(engine::SolverRegistry::builtin(), warm_state,
-                                          "auto", finer, parse_instance(in));
+  const auto other = engine::run_parsed(engine::SolverRegistry::builtin(), warm_state,
+                                        "auto", finer, parse_instance(in));
   ASSERT_TRUE(other.ok) << other.error;
   EXPECT_EQ(other.result_tier, engine::CacheTier::kMiss);
 }

@@ -34,6 +34,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <climits>
 #include <csignal>
 #include <cstdlib>
 #include <cstring>
@@ -63,8 +64,7 @@
 #include "io/format.hpp"
 #include "io/jsonl.hpp"
 #include "sched/simd_dispatch.hpp"
-#include "random/generators.hpp"
-#include "random/gilbert.hpp"
+#include "random/workload_mix.hpp"
 #include "sched/lower_bounds.hpp"
 #include "util/parallel.hpp"
 #include "util/prng.hpp"
@@ -424,7 +424,7 @@ int cmd_batch(int argc, char** argv) {
                                    warm.get());
   std::ostream& out = out_file.is_open() ? out_file : std::cout;
   const bool csv = format == "csv";
-  if (csv) engine::write_row_header_csv(out);
+  if (csv) engine::write_response_header_csv(out);
   std::size_t total = 0;
   std::size_t failures = 0;
   // Per-row flushing only matters when a pipe/stdout peer consumes rows
@@ -434,9 +434,9 @@ int cmd_batch(int argc, char** argv) {
     ++total;
     failures += row.ok ? 0 : 1;
     if (csv) {
-      engine::write_row_csv(out, row);
+      engine::write_response_csv(out, row);
     } else {
-      engine::write_row_json(out, row);
+      engine::write_response_json(out, row);
     }
     if (flush_rows) out.flush();
   });
@@ -1238,47 +1238,41 @@ int cmd_list_algs(int argc, char** argv) {
 
 // -------------------------------------------------------------------- gen ---
 
+// Draws through the scenario simulator's recipes (random/workload_mix), so
+// `gen` and a scenario phase with the same family and knobs print the same
+// bytes; out-of-range knobs exit 2 with the mix's message.
 int cmd_gen(int argc, char** argv) {
   if (argc < 3) return usage();
-  const std::string family = argv[2];
+  MixSpec spec;
+  spec.family = argv[2];
+  if (!mix_family_known(spec.family)) {
+    std::cerr << "unknown family '" << spec.family << "'\n";
+    return usage();
+  }
+  // gen's own sizes; the other defaults are the mix's. A recipe ignores the
+  // knobs of the other families, and r2's two machines take no --m. Counts
+  // are clamped, not wrapped, into int, so the mix refuses a huge one.
+  const auto count = [&](const char* name, std::int64_t fallback) {
+    return static_cast<int>(std::clamp<std::int64_t>(flag_int(argc, argv, name, fallback),
+                                                     INT_MIN, INT_MAX));
+  };
+  const bool r2 = spec.family == "r2";
+  spec.n = count("n", spec.family == "gilbert" ? 100 : r2 ? 50 : 20);
+  if (!r2) spec.machines = count("m", 4);
+  spec.a = flag_double(argc, argv, "a", spec.a);
+  spec.smax = flag_int(argc, argv, "smax", spec.smax);
+  spec.wmax = flag_int(argc, argv, "wmax", spec.wmax);
+  spec.tmax = flag_int(argc, argv, "tmax", spec.tmax);
+  spec.edges = flag_int(argc, argv, "edges", spec.edges);
   Rng rng(static_cast<std::uint64_t>(flag_int(argc, argv, "seed", 1)));
-  if (family == "gilbert") {
-    const int n = static_cast<int>(flag_int(argc, argv, "n", 100));
-    const double a = flag_double(argc, argv, "a", 2.0);
-    const int m = static_cast<int>(flag_int(argc, argv, "m", 4));
-    const std::int64_t smax = flag_int(argc, argv, "smax", 8);
-    Graph g = gilbert_bipartite(n, a / n, rng);
-    std::vector<std::int64_t> speeds(static_cast<std::size_t>(m));
-    for (auto& s : speeds) s = rng.uniform_int(1, smax);
-    write_instance(std::cout,
-                   make_uniform_instance(unit_weights(2 * n), std::move(speeds), std::move(g)));
-    return 0;
+  std::string error;
+  const std::string text = sample_mix_instance(spec, rng, &error);
+  if (text.empty()) {
+    std::cerr << "gen: " << error << "\n";
+    return 2;
   }
-  if (family == "crown") {
-    const int n = static_cast<int>(flag_int(argc, argv, "n", 20));
-    const int m = static_cast<int>(flag_int(argc, argv, "m", 4));
-    const std::int64_t wmax = flag_int(argc, argv, "wmax", 10);
-    write_instance(std::cout,
-                   make_uniform_instance(uniform_weights(2 * n, 1, wmax, rng),
-                                         std::vector<std::int64_t>(static_cast<std::size_t>(m), 2),
-                                         crown(n)));
-    return 0;
-  }
-  if (family == "r2") {
-    const int n = static_cast<int>(flag_int(argc, argv, "n", 50));
-    const std::int64_t tmax = flag_int(argc, argv, "tmax", 50);
-    const std::int64_t edges = flag_int(argc, argv, "edges", n / 2);
-    Graph g = random_bipartite_edges(n, n, edges, rng);
-    std::vector<std::vector<std::int64_t>> times(2,
-                                                 std::vector<std::int64_t>(2 * static_cast<std::size_t>(n)));
-    for (auto& row : times) {
-      for (auto& x : row) x = rng.uniform_int(0, tmax);
-    }
-    write_instance(std::cout, make_unrelated_instance(std::move(times), std::move(g)));
-    return 0;
-  }
-  std::cerr << "unknown family '" << family << "'\n";
-  return usage();
+  std::cout << text;
+  return 0;
 }
 
 // ------------------------------------------------------------------- eval ---
